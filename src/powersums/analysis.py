@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Any
 
 from .bernoulli import BernoulliCache
-from .exact_arith import format_rational, format_rational_latex
+from .exact_arith import format_exact, format_rational, format_rational_latex
 from .faulhaber import faulhaber_poly, poly_to_json, power_sum_closed
 from .polynomial import RationalPolynomial, X, format_terms
 
@@ -215,7 +215,7 @@ def format_factored(form: FactoredForm, style: str = "plain") -> str:
     elif braced:
         scalar = format_rational_latex(form.scalar) + " "
     else:
-        scalar = f"{form.scalar} "
+        scalar = f"{format_exact(form.scalar)} "
     parts = []
     for poly, multiplicity in form.factors:
         text = _factor_text(poly, braced)

@@ -43,7 +43,7 @@ from .bernoulli import (
     bernoulli_range,
     recurrence_residual,
 )
-from .exact_arith import format_rational, format_rational_latex
+from .exact_arith import format_exact, format_rational, format_rational_latex, parse_int
 from .faulhaber import (
     faulhaber_poly,
     format_polynomial,
@@ -79,7 +79,7 @@ class BenchResult:
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    value = parse_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
     return value
@@ -145,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bernoulli",
         parents=[common, fmt],
         help="print B_0..B_max",
-        description="Print the Bernoulli numbers B_0..B_max. The recurrence "
-        "costs O(max^2) rational operations, so indices beyond ~1000 get slow.",
+        description="Print the Bernoulli numbers B_0..B_max, generated from "
+        "integer tangent numbers in O(max^2) big-integer steps: about a "
+        "second for --max 2000.",
     )
     p.add_argument("--max", type=_nonneg_int, required=True, help="largest index")
     p.set_defaults(func=cmd_bernoulli)
@@ -258,7 +259,7 @@ def cmd_bernoulli(args: argparse.Namespace, cache: BernoulliCache) -> int:
             print(f"B_{{{i}}} = {format_rational_latex(v)}")
     else:
         for i, v in enumerate(values):
-            print(f"B_{i} = {v}")
+            print(f"B_{i} = {format_exact(v)}")
     return 0
 
 
@@ -327,11 +328,12 @@ def cmd_sum(args: argparse.Namespace, cache: BernoulliCache) -> int:
         oracle = power_sum_naive(args.n, args.k)
         if value != oracle:
             print(
-                f"MISMATCH at n={args.n}, k={args.k}: closed {value} != naive {oracle}",
+                f"MISMATCH at n={format_exact(args.n)}, k={args.k}: closed "
+                f"{format_exact(value)} != naive {format_exact(oracle)}",
                 file=sys.stderr,
             )
             return 1
-    print(value)
+    print(format_exact(value))
     return 0
 
 
@@ -347,7 +349,10 @@ def cmd_verify(args: argparse.Namespace, cache: BernoulliCache) -> int:
                 running += n**k
             closed = power_sum_closed(n, k, cache)
             if closed != running:
-                print(f"FAIL power sum at n={n}, k={k}: closed {closed} != {running}")
+                print(
+                    f"FAIL power sum at n={n}, k={k}: closed "
+                    f"{format_exact(closed)} != {format_exact(running)}"
+                )
                 return 1
             grid += 1
     print(f"power sums        {grid} comparisons ok")

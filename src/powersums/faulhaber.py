@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Any
 
 from .bernoulli import BernoulliCache, bernoulli
-from .exact_arith import binomial, format_rational_latex
+from .exact_arith import binomial, format_exact, format_rational_latex, parse_int
 from .polynomial import RationalPolynomial, format_terms, monomial
 
 __all__ = [
@@ -101,8 +101,8 @@ def power_sum_closed(n: int, k: int, cache: BernoulliCache | None = None) -> int
 
     For k >= 1 this evaluates P(n+1)/(k+1) and checks that the division
     comes out integral; a fractional value can only mean the arithmetic
-    underneath is broken, so it trips an assertion rather than being
-    reported as a user error.
+    underneath is broken (for instance a corrupted Bernoulli table), so it
+    raises ArithmeticError, under ``python -O`` too.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -111,9 +111,10 @@ def power_sum_closed(n: int, k: int, cache: BernoulliCache | None = None) -> int
     if k == 0:
         return n
     value = p_poly(k, cache)(n + 1) / (k + 1)
-    assert value.denominator == 1, (
-        f"closed form produced a non-integer {value} at n={n}, k={k}"
-    )
+    if value.denominator != 1:
+        raise ArithmeticError(
+            f"closed form produced a non-integer {format_exact(value)} at n={n}, k={k}"
+        )
     return value.numerator
 
 
@@ -157,16 +158,16 @@ def poly_to_json(p: RationalPolynomial, k: int | None = None) -> dict[str, Any]:
     """
     den, ints = p.common_integer_form()
     entry: dict[str, Any] = {} if k is None else {"k": k}
-    entry["denominator"] = str(den)
-    entry["coeffs"] = [str(c) for c in reversed(ints)]
+    entry["denominator"] = format_exact(den)
+    entry["coeffs"] = [format_exact(c) for c in reversed(ints)]
     return entry
 
 
 def poly_from_json(data: dict[str, Any]) -> RationalPolynomial:
     """Inverse of :func:`poly_to_json`."""
-    den = int(data["denominator"])
+    den = parse_int(data["denominator"])
     return RationalPolynomial(
-        Fraction(int(c), den) for c in reversed(data["coeffs"])
+        Fraction(parse_int(c), den) for c in reversed(data["coeffs"])
     )
 
 
@@ -178,14 +179,14 @@ def format_polynomial(
         return "0"
     if p.degree == 0:
         value = p.coefficient(0)
-        return format_rational_latex(value) if style == "latex" else str(value)
+        return format_rational_latex(value) if style == "latex" else format_exact(value)
     den, ints = p.common_integer_form()
     body = format_terms(ints, var, braced=(style == "latex"))
     if den == 1:
         return body
     if style == "latex":
-        return f"\\frac{{1}}{{{den}}} ({body})"
-    return f"1/{den} ({body})"
+        return f"\\frac{{1}}{{{format_exact(den)}}} ({body})"
+    return f"1/{format_exact(den)} ({body})"
 
 
 def format_power_sum(k: int, p: RationalPolynomial, style: str = "plain") -> str:

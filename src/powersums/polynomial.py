@@ -13,6 +13,8 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
+from .exact_arith import format_exact
+
 __all__ = [
     "RationalPolynomial",
     "X",
@@ -201,7 +203,7 @@ class RationalPolynomial:
             return "0"
         den, ints = self.common_integer_form()
         body = format_terms(ints, "x")
-        return body if den == 1 else f"1/{den} ({body})"
+        return body if den == 1 else f"1/{format_exact(den)} ({body})"
 
     def __repr__(self) -> str:
         return f"RationalPolynomial('{self}')"
@@ -228,9 +230,9 @@ def format_terms(ascending: Sequence[int], var: str, braced: bool = False) -> st
         if c == 0:
             continue
         if power == 0:
-            body = str(abs(c))
+            body = format_exact(abs(c))
         else:
-            head = "" if abs(c) == 1 else str(abs(c))
+            head = "" if abs(c) == 1 else format_exact(abs(c))
             if power == 1:
                 exp = ""
             elif braced:

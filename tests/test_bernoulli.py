@@ -1,3 +1,6 @@
+import importlib
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
@@ -48,6 +51,23 @@ def akiyama_tanigawa(max_index):
     return out
 
 
+def paper_recurrence(max_index):
+    """Independent oracle: B_0..B_max from the paper's defining recurrence
+
+        B_0 = 1,    B_m = -(C(m+1, 0) B_0 + ... + C(m+1, m-1) B_{m-1}) / (m + 1).
+
+    Nothing short-circuits the odd indices: their zeros emerge from the sum.
+    """
+    out = [Fraction(1)]
+    for m in range(1, max_index + 1):
+        out.append(-sum(comb(m + 1, i) * out[i] for i in range(m)) / (m + 1))
+    return out
+
+
+RECURRENCE_TABLE = paper_recurrence(300)
+bernoulli_module = importlib.import_module("powersums.bernoulli")
+
+
 class TestRecurrenceValues:
     def test_b0(self, cache):
         assert bernoulli(0, cache) == 1
@@ -81,6 +101,66 @@ class TestRecurrenceValues:
     def test_negative_index_rejected(self, cache):
         with pytest.raises(ValueError):
             bernoulli(-1, cache)
+
+
+class TestIndependentReferences:
+    def test_equals_paper_recurrence_up_to_300(self, cache):
+        assert bernoulli_range(300, cache) == RECURRENCE_TABLE
+        # The odd-index zeros match ones the recurrence produced on its own.
+        for m in range(3, 301, 2):
+            value = RECURRENCE_TABLE[m]
+            assert (value.numerator, value.denominator) == (0, 1)
+
+    def test_equals_sympy_up_to_1000(self, cache):
+        sympy = pytest.importorskip("sympy")
+        ours = bernoulli_range(1000, cache)
+        for n, value in enumerate(ours):
+            reference = sympy.bernoulli(n)
+            expected = Fraction(int(reference.p), int(reference.q))
+            # sympy uses B_1 = +1/2; this package uses -1/2.
+            assert value == (-expected if n == 1 else expected), n
+
+
+class TestGrowth:
+    def test_incremental_equals_one_shot(self):
+        grown = BernoulliCache()
+        for n in (0, 5, 6, 200, 201):
+            bernoulli(n, grown)
+            assert len(grown) == n + 1
+        assert bernoulli_range(201, grown) == bernoulli_range(201, BernoulliCache())
+        assert bernoulli_range(201, grown) == RECURRENCE_TABLE[:202]
+
+    def test_loaded_prefix_extends_like_one_shot(self, cache, tmp_path):
+        bernoulli(37, cache)
+        path = tmp_path / "bernoulli.cache"
+        cache.save(path)
+        loaded = BernoulliCache.load(path)
+        assert bernoulli_range(250, loaded) == RECURRENCE_TABLE[:251]
+
+    def _tangent_counts(self, monkeypatch):
+        counts = []
+        real = bernoulli_module._tangent_numbers
+
+        def recording(count):
+            counts.append(count)
+            return real(count)
+
+        monkeypatch.setattr(bernoulli_module, "_tangent_numbers", recording)
+        return counts
+
+    def test_odd_only_extension_computes_no_tangent_numbers(self, cache, monkeypatch):
+        bernoulli(6, cache)
+        counts = self._tangent_counts(monkeypatch)
+        assert bernoulli(7, cache) == 0
+        assert bernoulli(1, BernoulliCache()) == Fraction(-1, 2)
+        assert all(count == 0 for count in counts)
+
+    def test_extension_stops_at_largest_missing_even_index(self, cache, monkeypatch):
+        bernoulli(6, cache)
+        counts = self._tangent_counts(monkeypatch)
+        bernoulli(9, cache)
+        assert counts == [4]
+        assert len(cache) == 10
 
 
 class TestRange:
@@ -126,6 +206,52 @@ class TestConcurrency:
         reference = BernoulliCache()
         assert results == [bernoulli(n, reference) for n in indices]
         assert bernoulli_range(80, shared) == bernoulli_range(80, reference)
+
+
+    def test_concurrent_extension_only_appends(self):
+        shared = BernoulliCache()
+        done = threading.Event()
+        observed = {"snapshots": 0, "violations": 0}
+        last: list = []
+
+        def walk(first, stride):
+            # Each worker grows the table in its own steps, so extensions
+            # from different threads interleave.
+            return [bernoulli(n, shared) for n in [*range(first, 300, stride), 300]]
+
+        def observe():
+            nonlocal last
+            while not done.is_set():
+                snapshot = list(shared._values)
+                if len(snapshot) < len(last) or any(
+                    a is not b for a, b in zip(last, snapshot)
+                ):
+                    observed["violations"] += 1
+                observed["snapshots"] += 1
+                last = snapshot
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            observer = threading.Thread(target=observe)
+            observer.start()
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [
+                    pool.submit(walk, first, stride)
+                    for first, stride in ((1, 7), (2, 11), (5, 13), (3, 17), (0, 19), (4, 23))
+                ]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            done.set()
+            sys.setswitchinterval(old_interval)
+        observer.join(timeout=60)
+        assert not observer.is_alive()
+        final = shared._values
+        assert final == RECURRENCE_TABLE
+        assert results[0] == [*RECURRENCE_TABLE[1:300:7], RECURRENCE_TABLE[300]]
+        assert observed["snapshots"] > 0
+        assert observed["violations"] == 0
+        assert all(a is b for a, b in zip(last, final))
 
 
 class TestPersistence:

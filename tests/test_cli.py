@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from powersums.bernoulli import BernoulliCache, bernoulli
+from powersums.bernoulli import BernoulliCache, bernoulli, recurrence_residual
 from powersums.cli import default_cache_path, main
+from powersums.exact_arith import format_exact, parse_int
 from powersums.faulhaber import faulhaber_poly, poly_from_json
 
 
@@ -148,6 +149,21 @@ class TestSumCommand:
         assert int(out.strip()) == n * (n + 1) * (2 * n + 1) // 6
 
 
+    def test_result_past_the_int_str_digit_limit(self, capsys):
+        n = 10**1100
+        code, out, _ = run(capsys, "sum", str(n), "3", "--cache", "none")
+        assert code == 0
+        expected = (n * (n + 1) // 2) ** 2  # Nicomachus: S^3 = S^1 squared
+        assert len(out.strip()) > 4300
+        assert parse_int(out.strip()) == expected
+
+    def test_argument_past_the_int_str_digit_limit(self, capsys):
+        n = 10**5000 + 7
+        code, out, _ = run(capsys, "sum", format_exact(n), "1", "--cache", "none")
+        assert code == 0
+        assert parse_int(out.strip()) == n * (n + 1) // 2
+
+
 class TestVerifyCommand:
     def test_small_grid_passes(self, capsys):
         code, out, _ = run(
@@ -260,6 +276,20 @@ class TestCachePersistence:
         )
         assert code == 1
         assert "corrupt" in err
+
+    def test_entries_past_the_int_str_digit_limit(self, capsys, tmp_path):
+        # Numerators pass 4300 digits from B_2064 on.
+        path = tmp_path / "bern.cache"
+        code, out, _ = run(capsys, "bernoulli", "--max", "2200", "--cache", str(path))
+        assert code == 0
+        assert out.count("\n") == 2201
+        loaded = BernoulliCache.load(path)
+        assert len(loaded) == 2201
+        assert len(format_exact(bernoulli(2200, loaded).numerator)) > 4300
+        bernoulli(2202, loaded)
+        assert len(loaded) == 2203
+        assert recurrence_residual(2201, loaded) == 0
+        assert recurrence_residual(2202, loaded) == 0
 
     def test_default_path_honors_xdg(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CONFIG_HOME", str(tmp_path))

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from powersums.exact_arith import (
     binomial,
+    format_exact,
     format_rational,
     format_rational_latex,
+    parse_int,
     parse_rational,
     rational_add,
     rational_div,
@@ -122,6 +124,31 @@ class TestSerialization:
     def test_rejects_non_canonical_text(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    def test_past_the_int_str_digit_limit(self):
+        # 4300 digits is the interpreter's default limit for str(int).
+        num, den = -(7**6000), 2**40 * 3
+        value = Fraction(num, den)
+        text = format_rational(value)
+        assert len(text) > 5000
+        assert parse_rational(text) == value
+        assert format_exact(value) == text
+        assert format_exact(Fraction(10**5000)) == "1" + "0" * 5000
+        assert format_exact(-(10**5000)) == "-1" + "0" * 5000
+        assert parse_int("-" + "9" * 6000) == 1 - 10**6000
+        assert format_rational_latex(value) == f"-\\frac{{{text[1:text.index('/')]}}}{{{den}}}"
+
+    def test_large_non_canonical_text_still_rejected(self):
+        big = "9" * 5000
+        for bad in (f"2{big}0/10", f"{big}/0", f"{big}x/1", f"1/{big}.5"):
+            with pytest.raises(ValueError):
+                parse_rational(bad)
+        with pytest.raises(ValueError):
+            parse_int(big + "e5")
+
+    @pytest.mark.parametrize("value", [0, 1, -1, 10**20, Fraction(-691, 2730), Fraction(5)])
+    def test_format_exact_is_str_below_the_limit(self, value):
+        assert format_exact(value) == str(value)
 
     def test_latex(self):
         assert format_rational_latex(Fraction(854513, 138)) == "\\frac{854513}{138}"

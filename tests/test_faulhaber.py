@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import powersums
+from powersums.bernoulli import BernoulliCache, bernoulli
 from powersums.faulhaber import (
     faulhaber_poly,
     format_polynomial,
@@ -18,6 +24,7 @@ from powersums.faulhaber import (
     telescope_residual,
     verify_power_sum,
 )
+from powersums.exact_arith import format_exact
 from powersums.polynomial import RationalPolynomial, X, monomial
 
 # Expanded closed forms as (common denominator, coefficients descending from
@@ -172,6 +179,46 @@ class TestEvaluation:
         assert record.match
 
 
+# B_2 replaced by 1/5 makes S^2(1) = P(2)/3 = 16/15, which is not an integer.
+CORRUPT_AND_EVALUATE = """
+import sys
+from fractions import Fraction
+from powersums.bernoulli import BernoulliCache, bernoulli
+from powersums.faulhaber import power_sum_closed
+cache = BernoulliCache()
+bernoulli(4, cache)
+cache._values[2] = Fraction(1, 5)
+try:
+    value = power_sum_closed(1, 2, cache)
+except ArithmeticError as exc:
+    print("ArithmeticError", sys.flags.optimize, exc)
+else:
+    print("returned", value)
+"""
+
+
+class TestIntegralityCheck:
+    def test_corrupted_table_raises(self):
+        cache = BernoulliCache()
+        bernoulli(4, cache)
+        cache._values[2] = Fraction(1, 5)
+        with pytest.raises(ArithmeticError, match="non-integer 16/15"):
+            power_sum_closed(1, 2, cache)
+
+    def test_survives_python_dash_O(self):
+        src = str(Path(powersums.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CORRUPT_AND_EVALUATE],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ArithmeticError 1 "), proc.stdout
+
+
 class TestSerialization:
     def test_json_schema(self, cache):
         entry = poly_to_json(faulhaber_poly(2, cache), k=2)
@@ -200,6 +247,17 @@ class TestSerialization:
             "S_n^{10} = \\frac{1}{66} (6n^{11} + 33n^{10} + 55n^{9} - 66n^{7}"
             " + 66n^{5} - 33n^{3} + 5n)"
         )
+
+    def test_coefficients_past_the_int_str_digit_limit(self):
+        big = 10**5000 + 1
+        poly = RationalPolynomial([Fraction(big, 3), -big, 1])
+        entry = poly_to_json(poly)
+        assert entry["denominator"] == "3"
+        assert entry["coeffs"] == ["3", "-3" + "0" * 4999 + "3", format_exact(big)]
+        assert poly_from_json(entry) == poly
+        assert format_polynomial(poly) == f"1/3 (3n^2 - {format_exact(3 * big)}n + {format_exact(big)})"
+        assert str(poly).startswith("1/3 (3x^2 - 3000")
+        assert format_polynomial(RationalPolynomial([-big])) == "-" + format_exact(big)
 
     def test_constant_polynomial_rendering(self):
         assert format_polynomial(RationalPolynomial([Fraction(1, 2)])) == "1/2"
