@@ -12,7 +12,6 @@ from .analysis import (
     check_problem4,
     factored_form,
     format_factored,
-    poly_divmod,
     value_divisibility,
 )
 from .bernoulli import (
@@ -22,31 +21,16 @@ from .bernoulli import (
     bernoulli_range,
     recurrence_residual,
 )
-from .exact_arith import (
-    BigInt,
-    ExactRational,
-    binomial,
-    format_rational,
-    parse_rational,
-    rational_add,
-    rational_div,
-    rational_mul,
-    rational_neg,
-    rational_new,
-)
+from .exact_arith import format_rational, parse_rational
 from .faulhaber import (
-    PowerSumVerification,
     faulhaber_poly,
     format_power_sum,
     p_poly,
-    poly_compose_shift,
-    poly_eval,
     poly_from_json,
     poly_to_json,
     power_sum_closed,
     power_sum_naive,
     telescope_residual,
-    verify_power_sum,
 )
 from .polynomial import RationalPolynomial, monomial
 
@@ -54,16 +38,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BernoulliCache",
-    "BigInt",
     "CacheCorruptionError",
     "DivisibilityReport",
-    "ExactRational",
     "FactoredForm",
-    "PowerSumVerification",
     "RationalPolynomial",
     "bernoulli",
     "bernoulli_range",
-    "binomial",
     "check_problem2",
     "check_problem3",
     "check_problem4",
@@ -75,20 +55,11 @@ __all__ = [
     "monomial",
     "p_poly",
     "parse_rational",
-    "poly_compose_shift",
-    "poly_divmod",
-    "poly_eval",
     "poly_from_json",
     "poly_to_json",
     "power_sum_closed",
     "power_sum_naive",
-    "rational_add",
-    "rational_div",
-    "rational_mul",
-    "rational_neg",
-    "rational_new",
     "recurrence_residual",
     "telescope_residual",
     "value_divisibility",
-    "verify_power_sum",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .bernoulli import BernoulliCache
 from .exact_arith import format_exact, format_rational, format_rational_latex
@@ -29,15 +29,16 @@ from .faulhaber import faulhaber_poly, poly_to_json, power_sum_closed
 from .polynomial import RationalPolynomial, X, format_terms
 
 __all__ = [
+    "CLAIMS",
     "DivisibilityReport",
     "FactoredForm",
+    "check_claim",
     "check_problem2",
     "check_problem3",
     "check_problem4",
     "factored_form",
     "factored_to_json",
     "format_factored",
-    "poly_divmod",
     "report_to_json",
     "value_divisibility",
 ]
@@ -45,9 +46,26 @@ __all__ = [
 _X_PLUS_1 = X + 1
 _2X_PLUS_1 = 2 * X + 1
 
-DIVISOR_N_N1 = X * _X_PLUS_1
-DIVISOR_N2_N12 = (X * _X_PLUS_1) ** 2
-DIVISOR_N_N1_2N1 = X * _X_PLUS_1 * _2X_PLUS_1
+
+class Claim(NamedTuple):
+    """divisor | S^exponent(k) as polynomials, for every k >= 1."""
+
+    label: str
+    divisor: RationalPolynomial
+    exponent: Callable[[int], int]
+    k_error: str  # why k = 0 is excluded, raised as a ValueError
+
+
+# The paper's divisibility claims, keyed by problem number.
+CLAIMS: dict[int, Claim] = {
+    2: Claim("n(n+1)", X * _X_PLUS_1, lambda k: k,
+             "k must be >= 1: the exponent-0 power sum is n, which n(n+1) does not divide"),
+    3: Claim("n^2(n+1)^2", (X * _X_PLUS_1) ** 2, lambda k: 2 * k + 1,
+             "k must be >= 1: the exponent-1 power sum is n(n+1)/2, "
+             "which n^2(n+1)^2 does not divide"),
+    4: Claim("n(n+1)(2n+1)", X * _X_PLUS_1 * _2X_PLUS_1, lambda k: 2 * k,
+             "k must be >= 1 (the exponent 2k must be positive)"),
+}
 
 
 @dataclass(frozen=True)
@@ -70,22 +88,18 @@ class FactoredForm:
     factors: tuple[tuple[RationalPolynomial, int], ...]
 
 
-def poly_divmod(
-    dividend: RationalPolynomial, divisor: RationalPolynomial
-) -> tuple[RationalPolynomial, RationalPolynomial]:
-    """Exact quotient and remainder over the rationals."""
-    if divisor.is_zero():
-        raise ZeroDivisionError("polynomial division by the zero polynomial")
-    return divmod(dividend, divisor)
-
-
-def _report(
-    k: int, divisor: RationalPolynomial, cache: BernoulliCache | None
+def check_claim(
+    problem: int, k: int, cache: BernoulliCache | None = None
 ) -> DivisibilityReport:
-    quotient, remainder = divmod(faulhaber_poly(k, cache), divisor)
+    """Divide S^exponent(k) by the divisor of ``CLAIMS[problem]``."""
+    claim = CLAIMS[problem]
+    if k < 1:
+        raise ValueError(claim.k_error)
+    exponent = claim.exponent(k)
+    quotient, remainder = divmod(faulhaber_poly(exponent, cache), claim.divisor)
     return DivisibilityReport(
-        k=k,
-        divisor=divisor,
+        k=exponent,
+        divisor=claim.divisor,
         divides=remainder.is_zero(),
         quotient=quotient,
         remainder=remainder,
@@ -94,32 +108,17 @@ def _report(
 
 def check_problem2(k: int, cache: BernoulliCache | None = None) -> DivisibilityReport:
     """Divide S^k by n(n+1).  Holds for every k >= 1."""
-    if k < 1:
-        raise ValueError(
-            "k must be >= 1: the exponent-0 power sum is n, which n(n+1) does not divide"
-        )
-    return _report(k, DIVISOR_N_N1, cache)
+    return check_claim(2, k, cache)
 
 
 def check_problem3(k: int, cache: BernoulliCache | None = None) -> DivisibilityReport:
-    """Divide the odd-exponent sum S^(2k+1) by n^2(n+1)^2.
-
-    k >= 1 is required: the exponent-1 sum is n(n+1)/2, which n^2(n+1)^2
-    does not divide, so the claim starts at exponent 3.
-    """
-    if k < 1:
-        raise ValueError(
-            "k must be >= 1: the exponent-1 power sum is n(n+1)/2, "
-            "which n^2(n+1)^2 does not divide"
-        )
-    return _report(2 * k + 1, DIVISOR_N2_N12, cache)
+    """Divide the odd-exponent sum S^(2k+1) by n^2(n+1)^2.  k >= 1."""
+    return check_claim(3, k, cache)
 
 
 def check_problem4(k: int, cache: BernoulliCache | None = None) -> DivisibilityReport:
     """Divide the even-exponent sum S^(2k) by n(n+1)(2n+1).  k >= 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1 (the exponent 2k must be positive)")
-    return _report(2 * k, DIVISOR_N_N1_2N1, cache)
+    return check_claim(4, k, cache)
 
 
 def value_divisibility(

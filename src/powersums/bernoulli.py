@@ -22,6 +22,8 @@ re-checks it on the top entries of a persisted table.
 
 from __future__ import annotations
 
+import os
+import tempfile
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -82,25 +84,38 @@ class BernoulliCache:
                     values.append(Fraction(num, 4**k * (4**k - 1)))
 
     def save(self, path: str | Path) -> None:
-        """Write one line per index: ``<index> <num>/<den>``."""
+        """Write one ASCII line per index: ``<index> <num>/<den>``.
+
+        The table goes to a temp file of this save's own in the same
+        directory, which then replaces ``path``, so concurrent writers never
+        share a half-written file.
+        """
         with self._lock:
             snapshot = list(self._values)
         path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(
-            "".join(f"{i} {format_rational(v)}\n" for i, v in enumerate(snapshot))
-        )
-        tmp.replace(path)
+        text = "".join(f"{i} {format_rational(v)}\n" for i, v in enumerate(snapshot))
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> BernoulliCache:
         """Load a persisted table, rejecting anything inconsistent.
 
-        Indices must be contiguous from 0, entry 0 must be 1/1, and the
-        identity sum_{i<=n} C(n+1, i) B_i = 0 is re-checked for the top
-        three indices to catch silently corrupted values.
+        The file must be ASCII, indices must be contiguous from 0, entry 0
+        must be 1/1, and the identity sum_{i<=n} C(n+1, i) B_i = 0 is
+        re-checked for the top three indices to catch silently corrupted
+        values.
         """
-        lines = Path(path).read_text().splitlines()
+        try:
+            lines = Path(path).read_text(encoding="ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            raise CacheCorruptionError(f"{path}: byte {exc.start} is not ASCII") from exc
         if not lines:
             raise CacheCorruptionError(f"{path}: cache file is empty")
         values: list[Fraction] = []
@@ -110,15 +125,14 @@ class BernoulliCache:
                 raise CacheCorruptionError(
                     f"{path}:{lineno + 1}: expected '<index> <num>/<den>'"
                 )
+            if fields[0] != str(lineno):
+                raise CacheCorruptionError(
+                    f"{path}:{lineno + 1}: expected index {lineno}, got {fields[0]!r}"
+                )
             try:
-                index = int(fields[0])
                 value = parse_rational(fields[1])
             except ValueError as exc:
                 raise CacheCorruptionError(f"{path}:{lineno + 1}: {exc}") from exc
-            if index != lineno:
-                raise CacheCorruptionError(
-                    f"{path}:{lineno + 1}: non-contiguous index {index}"
-                )
             values.append(value)
         if values[0] != 1:
             raise CacheCorruptionError(f"{path}: index 0 must hold 1/1")

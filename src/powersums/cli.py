@@ -24,12 +24,8 @@ from pathlib import Path
 from statistics import median
 
 from .analysis import (
-    DIVISOR_N2_N12,
-    DIVISOR_N_N1,
-    DIVISOR_N_N1_2N1,
-    check_problem2,
-    check_problem3,
-    check_problem4,
+    CLAIMS,
+    check_claim,
     factored_form,
     factored_to_json,
     format_factored,
@@ -59,12 +55,6 @@ __all__ = ["BenchResult", "main", "run_benchmark"]
 NAIVE_GUARD_LIMIT = 10**8
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
-
-_SWEEP_DIVISORS = {
-    "p2": ("n(n+1)", DIVISOR_N_N1),
-    "p3": ("n^2(n+1)^2", DIVISOR_N2_N12),
-    "p4": ("n(n+1)(2n+1)", DIVISOR_N_N1_2N1),
-}
 
 
 @dataclass(frozen=True)
@@ -224,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         "problem 2 is S^k / n(n+1), problem 3 is S^(2k+1) / n^2(n+1)^2, "
         "problem 4 is S^(2k) / n(n+1)(2n+1).",
     )
-    p.add_argument("problem", type=int, choices=(2, 3, 4))
+    p.add_argument("problem", type=int, choices=sorted(CLAIMS))
     p.add_argument("k", type=_pos_int, help="problem parameter k >= 1")
     p.set_defaults(func=cmd_divide)
 
@@ -239,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-n", type=_pos_int, required=True)
     p.add_argument("--max-k", type=_nonneg_int, required=True)
-    p.add_argument("--divisor", choices=sorted(_SWEEP_DIVISORS), default="p4")
+    p.add_argument(
+        "--divisor", choices=[f"p{problem}" for problem in sorted(CLAIMS)], default="p4"
+    )
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -380,24 +372,16 @@ def cmd_verify(args: argparse.Namespace, cache: BernoulliCache) -> int:
     total += max_k
 
     checks = 0
-    for k in range(1, max_k + 1):
-        report = check_problem2(k, cache)
-        if not report.divides or report.divisor * report.quotient != faulhaber_poly(k, cache):
-            print(f"FAIL divisibility by n(n+1) at k={k}")
-            return 1
-        checks += 1
-    for k in range(1, (max_k - 1) // 2 + 1):
-        report = check_problem3(k, cache)
-        if not report.divides or report.divisor * report.quotient != faulhaber_poly(2 * k + 1, cache):
-            print(f"FAIL divisibility by n^2(n+1)^2 at exponent {2 * k + 1}")
-            return 1
-        checks += 1
-    for k in range(1, max_k // 2 + 1):
-        report = check_problem4(k, cache)
-        if not report.divides or report.divisor * report.quotient != faulhaber_poly(2 * k, cache):
-            print(f"FAIL divisibility by n(n+1)(2n+1) at exponent {2 * k}")
-            return 1
-        checks += 1
+    for problem, claim in CLAIMS.items():
+        k = 1
+        while claim.exponent(k) <= max_k:
+            report = check_claim(problem, k, cache)
+            product = report.divisor * report.quotient
+            if not report.divides or product != faulhaber_poly(report.k, cache):
+                print(f"FAIL divisibility by {claim.label} at exponent {report.k}")
+                return 1
+            checks += 1
+            k += 1
     print(f"divisibility      {checks} divisions ok")
     total += checks
 
@@ -457,8 +441,7 @@ def cmd_bench(args: argparse.Namespace, cache: BernoulliCache) -> int:
 
 
 def cmd_divide(args: argparse.Namespace, cache: BernoulliCache) -> int:
-    checker = {2: check_problem2, 3: check_problem3, 4: check_problem4}[args.problem]
-    report = checker(args.k, cache)
+    report = check_claim(args.problem, args.k, cache)
     if args.format == "json":
         print(json.dumps(report_to_json(report), separators=(",", ":")))
         return 0
@@ -472,17 +455,17 @@ def cmd_divide(args: argparse.Namespace, cache: BernoulliCache) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, cache: BernoulliCache) -> int:
-    label, divisor = _SWEEP_DIVISORS[args.divisor]
+    claim = CLAIMS[int(args.divisor[1:])]
     hits = [
         {"n": n, "k": k}
         for n in range(1, args.max_n + 1)
         for k in range(args.max_k + 1)
-        if value_divisibility(n, k, divisor, cache)
+        if value_divisibility(n, k, claim.divisor, cache)
     ]
     if args.format == "json":
-        print(json.dumps({"divisor": label, "hits": hits}, separators=(",", ":")))
+        print(json.dumps({"divisor": claim.label, "hits": hits}, separators=(",", ":")))
         return 0
-    print(f"value divisibility by {label}: {len(hits)} of "
+    print(f"value divisibility by {claim.label}: {len(hits)} of "
           f"{args.max_n * (args.max_k + 1)} pairs")
     for hit in hits:
         print(f"n={hit['n']} k={hit['k']}")

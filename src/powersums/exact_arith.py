@@ -1,4 +1,4 @@
-"""Exact integer and rational arithmetic, plus binomial coefficients.
+"""Exact integer and rational arithmetic.
 
 Python integers are already arbitrary precision and ``fractions.Fraction``
 keeps every value reduced with a positive denominator, so this module mostly
@@ -18,68 +18,17 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
 
 __all__ = [
-    "BigInt",
-    "ExactRational",
-    "binomial",
     "format_exact",
     "format_rational",
     "format_rational_latex",
     "parse_int",
     "parse_rational",
-    "rational_add",
-    "rational_div",
-    "rational_mul",
-    "rational_neg",
-    "rational_new",
 ]
 
-# Semantic aliases: any magnitude, no precision loss.
-BigInt = int
-ExactRational = Fraction
-
-_RATIONAL_RE = re.compile(r"^(-?\d+)/(\d+)$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
 _INT_RE = re.compile(r"[+-]?\d+")
-
-
-def rational_new(num: int, den: int) -> Fraction:
-    """Reduced, sign-normalized fraction num/den.
-
-    >>> rational_new(3, -6)
-    Fraction(-1, 2)
-    """
-    if den == 0:
-        raise ZeroDivisionError("rational with zero denominator")
-    return Fraction(num, den)
-
-
-def rational_add(a: Fraction, b: Fraction) -> Fraction:
-    return a + b
-
-
-def rational_mul(a: Fraction, b: Fraction) -> Fraction:
-    return a * b
-
-
-def rational_neg(a: Fraction) -> Fraction:
-    return -a
-
-
-def rational_div(a: Fraction, b: Fraction) -> Fraction:
-    if b == 0:
-        raise ZeroDivisionError("rational division by zero")
-    return a / b
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); zero when k > n.
-
-    Allowing k > n (instead of raising) keeps binomial-weighted summation
-    loops free of edge-case guards.
-    """
-    return comb(n, k)
 
 
 def format_exact(value: int | Fraction) -> str:
@@ -114,8 +63,12 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``<num>/<den>``; only the canonical reduced form is accepted."""
-    match = _RATIONAL_RE.match(text)
+    """Parse ``<num>/<den>``; only the canonical reduced form is accepted.
+
+    The digits are ASCII 0-9: the other Unicode digits that ``int`` takes
+    are rejected, so the wire format has a single spelling.
+    """
+    match = _RATIONAL_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"not a rational literal: {text!r}")
     num, den = parse_int(match.group(1)), parse_int(match.group(2))

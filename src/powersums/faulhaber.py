@@ -20,28 +20,24 @@ what the benchmark command quantifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Any
 
 from .bernoulli import BernoulliCache, bernoulli
-from .exact_arith import binomial, format_exact, format_rational_latex, parse_int
+from .exact_arith import format_exact, format_rational_latex, parse_int
 from .polynomial import RationalPolynomial, format_terms, monomial
 
 __all__ = [
-    "PowerSumVerification",
     "faulhaber_poly",
     "format_polynomial",
     "format_power_sum",
     "p_poly",
-    "poly_compose_shift",
-    "poly_eval",
     "poly_from_json",
     "poly_to_json",
     "power_sum_closed",
     "power_sum_naive",
     "telescope_residual",
-    "verify_power_sum",
 ]
 
 
@@ -56,7 +52,7 @@ def p_poly(k: int, cache: BernoulliCache | None = None) -> RationalPolynomial:
         raise ValueError("exponent must be nonnegative")
     coeffs = [Fraction(0)] * (k + 2)
     for i in range(k + 1):
-        coeffs[k + 1 - i] = binomial(k + 1, i) * bernoulli(i, cache)
+        coeffs[k + 1 - i] = comb(k + 1, i) * bernoulli(i, cache)
     return RationalPolynomial(coeffs)
 
 
@@ -73,18 +69,6 @@ def faulhaber_poly(k: int, cache: BernoulliCache | None = None) -> RationalPolyn
         # x + 1 here (see the module docstring).
         return monomial(1)
     return p_poly(k, cache) / (k + 1) + monomial(k)
-
-
-def poly_eval(p: RationalPolynomial, x: int | Fraction) -> Fraction:
-    """Exact value of p at x."""
-    return p(x)
-
-
-def poly_compose_shift(
-    p: RationalPolynomial, offset: int | Fraction
-) -> RationalPolynomial:
-    """The polynomial p(x + offset), expanded exactly."""
-    return p.shifted(offset)
 
 
 def power_sum_naive(n: int, k: int) -> int:
@@ -128,26 +112,6 @@ def telescope_residual(
     """
     p = p_poly(k, cache)
     return p.shifted(1) - p - monomial(k, k + 1)
-
-
-@dataclass(frozen=True)
-class PowerSumVerification:
-    """Closed-form vs. direct-summation comparison for one (n, k) pair."""
-
-    n: int
-    k: int
-    closed_value: int
-    oracle_value: int
-    match: bool
-
-
-def verify_power_sum(
-    n: int, k: int, cache: BernoulliCache | None = None
-) -> PowerSumVerification:
-    """Compare both evaluation strategies on one (n, k) pair."""
-    closed = power_sum_closed(n, k, cache)
-    oracle = power_sum_naive(n, k)
-    return PowerSumVerification(n, k, closed, oracle, closed == oracle)
 
 
 def poly_to_json(p: RationalPolynomial, k: int | None = None) -> dict[str, Any]:

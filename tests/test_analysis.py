@@ -4,16 +4,12 @@ from math import gcd
 import pytest
 
 from powersums.analysis import (
-    DIVISOR_N2_N12,
-    DIVISOR_N_N1,
-    DIVISOR_N_N1_2N1,
     check_problem2,
     check_problem3,
     check_problem4,
     factored_form,
     factored_to_json,
     format_factored,
-    poly_divmod,
     report_to_json,
     value_divisibility,
 )
@@ -26,24 +22,14 @@ def scaled(ints_ascending, den):
     return RationalPolynomial(ints_ascending) / den
 
 
+DIVISOR_N_N1 = X * (X + 1)
+
+
 class TestPolyDivmod:
-    def test_exact(self):
-        q, r = poly_divmod(X**2 - 1, X - 1)
-        assert (q, r.is_zero()) == (X + 1, True)
-
-    def test_remainder(self):
-        q, r = poly_divmod(X**2 + 1, X)
-        assert q == X
-        assert r == RationalPolynomial([1])
-
     def test_closed_form_split(self, cache):
-        q, r = poly_divmod(faulhaber_poly(5, cache), DIVISOR_N2_N12)
+        q, r = divmod(faulhaber_poly(5, cache), DIVISOR_N_N1**2)
         assert r.is_zero()
         assert q == scaled([-1, 2, 2], 12)  # 1/12 (2x^2 + 2x - 1)
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            poly_divmod(X, RationalPolynomial())
 
 
 class TestProblem2:
@@ -68,8 +54,11 @@ class TestProblem2:
             assert report.divisor * report.quotient == faulhaber_poly(k, cache)
 
     def test_k0_rejected(self, cache):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             check_problem2(0, cache)
+        assert str(excinfo.value) == (
+            "k must be >= 1: the exponent-0 power sum is n, which n(n+1) does not divide"
+        )
 
 
 class TestProblem3:
@@ -96,8 +85,12 @@ class TestProblem3:
             )
 
     def test_k0_rejected_with_counterexample_message(self, cache):
-        with pytest.raises(ValueError, match="n\\(n\\+1\\)/2"):
+        with pytest.raises(ValueError) as excinfo:
             check_problem3(0, cache)
+        assert str(excinfo.value) == (
+            "k must be >= 1: the exponent-1 power sum is n(n+1)/2, "
+            "which n^2(n+1)^2 does not divide"
+        )
 
 
 class TestProblem4:
@@ -121,8 +114,9 @@ class TestProblem4:
             assert report.divisor * report.quotient == faulhaber_poly(2 * k, cache)
 
     def test_k0_rejected(self, cache):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             check_problem4(0, cache)
+        assert str(excinfo.value) == "k must be >= 1 (the exponent 2k must be positive)"
 
 
 class TestValueDivisibility:
@@ -134,7 +128,7 @@ class TestValueDivisibility:
 
     def test_n4_k3_against_squared_divisor(self, cache):
         # S = 100 and the modulus is 400
-        assert value_divisibility(4, 3, DIVISOR_N2_N12, cache) is False
+        assert value_divisibility(4, 3, DIVISOR_N_N1**2, cache) is False
 
     def test_n1_k5(self, cache):
         # S = 1 and the modulus is 2
@@ -155,7 +149,7 @@ class TestValueDivisibility:
 
     def test_triple_divisor_has_no_small_hits(self, cache):
         assert not any(
-            value_divisibility(n, 2 * k, DIVISOR_N_N1_2N1, cache)
+            value_divisibility(n, 2 * k, DIVISOR_N_N1 * (2 * X + 1), cache)
             for n in range(1, 7)
             for k in range(1, 5)
         )

@@ -1,4 +1,5 @@
 import importlib
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -316,3 +317,45 @@ class TestPersistence:
         path = self._save(tmp_path, "")
         with pytest.raises(CacheCorruptionError):
             BernoulliCache.load(path)
+
+    # Not UTF-8; and Arabic-Indic digits, which int() reads as -1/2 and 2.
+    @pytest.mark.parametrize("data", [
+        b"0 1/1\n1 \xff\xfe/2\n",
+        "0 1/1\n1 -\u0661/2\n\u0662 1/6\n".encode(),
+    ])
+    def test_rejects_non_ascii(self, tmp_path, data):
+        path = tmp_path / "bernoulli.cache"
+        path.write_bytes(data)
+        with pytest.raises(CacheCorruptionError, match="not ASCII"):
+            BernoulliCache.load(path)
+
+    @pytest.mark.parametrize("index", ["+1", "01", "1_0", "1.0"])
+    def test_rejects_non_canonical_index(self, tmp_path, index):
+        path = self._save(tmp_path, f"0 1/1\n{index} -1/2\n")
+        with pytest.raises(CacheCorruptionError, match="expected index 1"):
+            BernoulliCache.load(path)
+
+    def test_save_leaves_a_foreign_tmp_file_alone(self, cache, tmp_path):
+        bernoulli(4, cache)
+        path = tmp_path / "bernoulli.cache"
+        other = tmp_path / "bernoulli.cache.tmp"
+        other.write_text("another writer's half-written table")
+        cache.save(path)
+        assert other.read_text() == "another writer's half-written table"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bernoulli.cache",
+            "bernoulli.cache.tmp",
+        ]
+        assert len(BernoulliCache.load(path)) == 5
+
+    def test_failed_replace_leaves_no_tmp_file(self, cache, tmp_path, monkeypatch):
+        bernoulli(4, cache)
+        path = tmp_path / "bernoulli.cache"
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            cache.save(path)
+        assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
+from powersums import cli
+from powersums.analysis import CLAIMS, check_claim
 from powersums.bernoulli import BernoulliCache, bernoulli, recurrence_residual
 from powersums.cli import default_cache_path, main
 from powersums.exact_arith import format_exact, parse_int
@@ -178,6 +181,23 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("problem", sorted(CLAIMS))
+    def test_remultiplication_catches_a_wrong_quotient(self, capsys, monkeypatch, problem):
+        # A report that claims to divide but whose quotient is off by one.
+        def skewed(p, k, cache=None):
+            report = check_claim(p, k, cache)
+            if p != problem:
+                return report
+            return dataclasses.replace(report, quotient=report.quotient + 1)
+
+        monkeypatch.setattr(cli, "check_claim", skewed)
+        code, out, _ = run(capsys, "verify", "--max-n", "5", "--max-k", "4", "--cache", "none")
+        claim = CLAIMS[problem]
+        assert code == 1
+        assert out.splitlines()[-1] == (
+            f"FAIL divisibility by {claim.label} at exponent {claim.exponent(1)}"
+        )
+
 
 class TestBenchCommand:
     def test_reports_and_agrees(self, capsys):
@@ -276,6 +296,13 @@ class TestCachePersistence:
         )
         assert code == 1
         assert "corrupt" in err
+
+    def test_non_ascii_cache_is_corrupt_not_a_traceback(self, capsys, tmp_path):
+        path = tmp_path / "bern.cache"
+        path.write_bytes(b"0 1/1\n1 \xff\xfe/2\n")
+        code, out, err = run(capsys, "sum", "10", "3", "--cache", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: corrupt cache: {path}: byte 8 is not ASCII\n"
 
     def test_entries_past_the_int_str_digit_limit(self, capsys, tmp_path):
         # Numerators pass 4300 digits from B_2064 on.

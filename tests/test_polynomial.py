@@ -103,6 +103,8 @@ class TestEvaluationAndShift:
     def test_shift_by_zero_is_identity(self):
         p = 3 * X**3 - X + 7
         assert p.shifted(0) == p
+        q = 5 * X**4 - Fraction(1, 3) * X
+        assert q.shifted(0) == q
 
     def test_shift_by_minus_one(self):
         assert (X**3 - X).shifted(-1) == X**3 - 3 * X**2 + 2 * X
