@@ -484,7 +484,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read cache: {exc}", file=sys.stderr)
         return 1
     known_before = len(cache)
-    code = args.func(args, cache)
+    try:
+        code = args.func(args, cache)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so the
+        # interpreter's flush at exit cannot raise again, and keep going to
+        # save what was computed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
     if cache_path is not None and len(cache) > known_before:
         try:
             cache_path.parent.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,8 @@ __all__ = [
     "parse_rational",
 ]
 
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)/([0-9]+)")
+# A zero denominator matches, so that it is reported as such.
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)/(0|[1-9][0-9]*)")
 _INT_RE = re.compile(r"[+-]?\d+")
 
 
@@ -65,8 +66,9 @@ def format_rational(value: Fraction) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse ``<num>/<den>``; only the canonical reduced form is accepted.
 
-    The digits are ASCII 0-9: the other Unicode digits that ``int`` takes
-    are rejected, so the wire format has a single spelling.
+    The digits are ASCII 0-9, with no leading zeros and no ``-0``: the other
+    Unicode digits that ``int`` takes, ``007/2``, ``1/02`` and ``-0/1`` are
+    rejected, so the wire format has a single spelling.
     """
     match = _RATIONAL_RE.fullmatch(text)
     if match is None:

@@ -68,7 +68,11 @@ def faulhaber_poly(k: int, cache: BernoulliCache | None = None) -> RationalPolyn
         # The sum of n ones is n; the generic construction would give
         # x + 1 here (see the module docstring).
         return monomial(1)
-    return p_poly(k, cache) / (k + 1) + monomial(k)
+    # S^k = (P + (k+1) x^k) / (k+1), on P's integer form den * P.
+    den, ints = p_poly(k, cache).common_integer_form()
+    ints = list(ints)
+    ints[k] += den * (k + 1)
+    return RationalPolynomial.from_integer_form(den * (k + 1), ints)
 
 
 def power_sum_naive(n: int, k: int) -> int:
@@ -129,9 +133,8 @@ def poly_to_json(p: RationalPolynomial, k: int | None = None) -> dict[str, Any]:
 
 def poly_from_json(data: dict[str, Any]) -> RationalPolynomial:
     """Inverse of :func:`poly_to_json`."""
-    den = parse_int(data["denominator"])
-    return RationalPolynomial(
-        Fraction(parse_int(c), den) for c in reversed(data["coeffs"])
+    return RationalPolynomial.from_integer_form(
+        parse_int(data["denominator"]), map(parse_int, reversed(data["coeffs"]))
     )
 
 

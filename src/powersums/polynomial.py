@@ -4,6 +4,12 @@ Coefficients are stored ascending by power as an immutable tuple of
 ``Fraction`` values with trailing zeros trimmed, so the zero polynomial is
 the empty tuple and every nonzero polynomial has a nonzero leading
 coefficient.  All arithmetic is exact; nothing here ever touches floats.
+
+The quadratic kernels (polynomial product, long division, Taylor shift,
+content) run on the common-integer form: the least denominator ``den``
+with ``den * p`` integral, and those integer coefficients.  Each converts
+once on entry and builds one result on exit, so the inner loops do
+integer additions and multiplications and pay no gcd per step.
 """
 
 from __future__ import annotations
@@ -103,13 +109,14 @@ class RationalPolynomial:
             return NotImplemented
         if not self._coeffs or not other._coeffs:
             return RationalPolynomial()
-        result = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                result[i + j] += a * b
-        return RationalPolynomial(result)
+        da, a = self.common_integer_form()
+        db, b = other.common_integer_form()
+        result = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    result[j] += ai * bj
+        return RationalPolynomial.from_integer_form(da * db, result)
 
     __rmul__ = __mul__
 
@@ -138,21 +145,28 @@ class RationalPolynomial:
             return NotImplemented
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by the zero polynomial")
-        rem = list(self._coeffs)
-        div = divisor._coeffs
-        shift = len(rem) - len(div)
-        if shift < 0:
+        da, rem = self.common_integer_form()
+        db, div = divisor.common_integer_form()
+        m = len(div) - 1
+        if len(rem) <= m:
             return RationalPolynomial(), self
-        quot = [_ZERO] * (shift + 1)
+        # Pseudo-division: scaling by L^N up front (L = |lead|, N quotient
+        # terms) keeps every step's top term divisible by lead, so that
+        # L^N (da self) == (db divisor) quot + rem holds in integers.
         lead = div[-1]
-        for i in range(len(rem) - 1, len(div) - 2, -1):
-            factor = rem[i] / lead
-            if factor == 0:
-                continue
-            quot[i - len(div) + 1] = factor
-            for j, d in enumerate(div):
-                rem[i - len(div) + 1 + j] -= factor * d
-        return RationalPolynomial(quot), RationalPolynomial(rem[: len(div) - 1])
+        scale = abs(lead) ** (len(rem) - m)
+        rem = [c * scale for c in rem]
+        quot = [0] * (len(rem) - m)
+        for i in range(len(rem) - 1, m - 1, -1):
+            factor = rem[i] // lead
+            if factor:
+                quot[i - m] = factor
+                for j, d in enumerate(div, i - m):
+                    rem[j] -= factor * d
+        return (
+            RationalPolynomial.from_integer_form(scale * da, [c * db for c in quot]),
+            RationalPolynomial.from_integer_form(scale * da, rem[:m]),
+        )
 
     def __call__(self, x: Scalar) -> Fraction:
         """Exact value at x, by Horner's scheme."""
@@ -162,12 +176,26 @@ class RationalPolynomial:
         return acc
 
     def shifted(self, offset: Scalar) -> RationalPolynomial:
-        """The composed polynomial p(x + offset)."""
-        shift = RationalPolynomial([offset, 1])
-        result = RationalPolynomial()
-        for c in reversed(self._coeffs):
-            result = result * shift + c
-        return result
+        """The composed polynomial p(x + offset).
+
+        Write den * p(x) = sum a_i x^i with degree d, and offset = r/q.
+        The integers a_i q^(d-i) are the coefficients of
+        c(y) = q^d den p(y/q); the classical Taylor shift by r, d(d+1)/2
+        integer steps a[j] += r a[j+1], gives the coefficients g_j of
+        c(y + r), and putting y = qx, p(x + r/q) = sum g_j q^j x^j / (den q^d).
+        """
+        offset = Fraction(offset)
+        r, q = offset.numerator, offset.denominator
+        den, a = self.common_integer_form()
+        a, d = list(a), len(a) - 1
+        for i in range(d):
+            a[i] *= q ** (d - i)
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                a[j] += r * a[j + 1]
+        return RationalPolynomial.from_integer_form(
+            den * q**d, [c * q**j for j, c in enumerate(a)]
+        )
 
     def content_and_primitive(self) -> tuple[Fraction, RationalPolynomial]:
         """Split as content * primitive, where the primitive part has coprime
@@ -177,12 +205,9 @@ class RationalPolynomial:
         """
         if not self._coeffs:
             return _ZERO, self
-        den = lcm(*(c.denominator for c in self._coeffs))
-        num = gcd(*(int(c * den) for c in self._coeffs))
-        content = Fraction(num, den)
-        if self._coeffs[-1] < 0:
-            content = -content
-        return content, RationalPolynomial(c / content for c in self._coeffs)
+        den, ints = self.common_integer_form()
+        num = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+        return Fraction(num, den), RationalPolynomial(c // num for c in ints)
 
     def common_integer_form(self) -> tuple[int, tuple[int, ...]]:
         """The least d >= 1 with d * self integer, and those integer
@@ -190,7 +215,17 @@ class RationalPolynomial:
         if not self._coeffs:
             return 1, (0,)
         den = lcm(*(c.denominator for c in self._coeffs))
-        return den, tuple(int(c * den) for c in self._coeffs)
+        return den, tuple(c.numerator * (den // c.denominator) for c in self._coeffs)
+
+    @classmethod
+    def from_integer_form(cls, den: int, ints: Iterable[int]) -> RationalPolynomial:
+        """The polynomial (1/den) * sum(ints[i] * x**i), for a nonzero den."""
+        coeffs = [Fraction(c, den) for c in ints]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        poly = cls.__new__(cls)
+        poly._coeffs = tuple(coeffs)
+        return poly
 
     def __str__(self) -> str:
         if not self._coeffs:

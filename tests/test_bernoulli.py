@@ -308,6 +308,12 @@ class TestPersistence:
         with pytest.raises(CacheCorruptionError):
             BernoulliCache.load(path)
 
+    def test_rejects_leading_zero(self, tmp_path):
+        # -01/2 is the right value, B_1, spelled non-canonically.
+        path = self._save(tmp_path, "0 1/1\n1 -01/2\n")
+        with pytest.raises(CacheCorruptionError, match="not a rational literal"):
+            BernoulliCache.load(path)
+
     def test_rejects_garbage(self, tmp_path):
         path = self._save(tmp_path, "0 1/1\nhello world\n")
         with pytest.raises(CacheCorruptionError):

@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powersums
 from powersums import cli
 from powersums.analysis import CLAIMS, check_claim
 from powersums.bernoulli import BernoulliCache, bernoulli, recurrence_residual
@@ -303,6 +308,37 @@ class TestCachePersistence:
         code, out, err = run(capsys, "sum", "10", "3", "--cache", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: corrupt cache: {path}: byte 8 is not ASCII\n"
+
+    def test_leading_zero_in_cache_value_is_corrupt(self, capsys, tmp_path):
+        path = tmp_path / "bern.cache"
+        path.write_text("0 1/1\n1 -01/2\n")
+        code, out, err = run(capsys, "sum", "10", "3", "--cache", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: corrupt cache: {path}:2: not a rational literal")
+
+    def test_reader_closing_the_pipe_early(self, tmp_path):
+        # 800 entries print about 250 kB, more than a pipe holds, so the
+        # writer is still printing when the reader goes away.
+        path = tmp_path / "bern.cache"
+        src = str(Path(powersums.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "powersums.cli", "bernoulli", "--max", "800",
+             "--cache", str(path)],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"B_0 = 1\n"
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+        finally:
+            proc.stderr.close()
+            proc.wait(timeout=60)
+        assert err == b""
+        assert proc.returncode == 1
+        assert len(BernoulliCache.load(path)) == 801
 
     def test_entries_past_the_int_str_digit_limit(self, capsys, tmp_path):
         # Numerators pass 4300 digits from B_2064 on.

@@ -124,7 +124,8 @@ class TestSerialization:
     # newline, a plus sign and underscores; the wire format does not.
     @pytest.mark.parametrize("bad", ["2/4", "1/-2", "1/0", "x", "3", "1 / 2", "",
                                      "-\u0661/2", "1/\u0662", "\uff11/2", "1/2\n",
-                                     "+1/2", "1_0/3"])
+                                     "+1/2", "1_0/3", "007/2", "1/02", "-0/1",
+                                     "00/1", "1/00"])
     def test_rejects_non_canonical_text(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -113,7 +113,7 @@ class TestTwoConstructions:
         for k in range(31):
             assert telescope_residual(k, cache).is_zero()
 
-    @pytest.mark.parametrize("k", [0, 3, 20])
+    @pytest.mark.parametrize("k", [0, 3, 20, 300, 400])
     def test_telescoping_spot_checks(self, cache, k):
         assert telescope_residual(k, cache) == RationalPolynomial()
 

@@ -1,15 +1,49 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powersums.faulhaber import faulhaber_poly
 from powersums.polynomial import RationalPolynomial, X, format_terms, monomial
 
-small_polys = st.builds(
-    RationalPolynomial,
-    st.lists(st.integers(min_value=-9, max_value=9), max_size=6),
-)
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+small_polys = st.builds(RationalPolynomial, st.lists(small_fractions, max_size=6))
+nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+
+
+# The Fraction loops the integer kernels replaced, kept as references.
+def reference_mul(a, b):
+    a, b = a.coefficients, b.coefficients
+    if not a or not b:
+        return RationalPolynomial()
+    result = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            result[i + j] += x * y
+    return RationalPolynomial(result)
+
+
+def reference_divmod(a, b):
+    rem, div = list(a.coefficients), b.coefficients
+    if len(rem) < len(div):
+        return RationalPolynomial(), a
+    quot = [Fraction(0)] * (len(rem) - len(div) + 1)
+    for i in range(len(rem) - 1, len(div) - 2, -1):
+        factor = rem[i] / div[-1]
+        quot[i - len(div) + 1] = factor
+        for j, d in enumerate(div):
+            rem[i - len(div) + 1 + j] -= factor * d
+    return RationalPolynomial(quot), RationalPolynomial(rem[: len(div) - 1])
+
+
+def reference_shifted(p, offset):
+    shift = RationalPolynomial([offset, 1])
+    result = RationalPolynomial()
+    for c in reversed(p.coefficients):
+        result = reference_mul(result, shift) + c
+    return result
 
 
 class TestConstruction:
@@ -81,7 +115,7 @@ class TestDivmod:
         with pytest.raises(ZeroDivisionError):
             divmod(X, RationalPolynomial())
 
-    @given(small_polys, small_polys.filter(lambda p: not p.is_zero()))
+    @given(small_polys, nonzero_polys)
     def test_division_identity(self, a, b):
         q, r = divmod(a, b)
         assert b * q + r == a
@@ -109,10 +143,54 @@ class TestEvaluationAndShift:
     def test_shift_by_minus_one(self):
         assert (X**3 - X).shifted(-1) == X**3 - 3 * X**2 + 2 * X
 
-    @given(small_polys, st.integers(min_value=-5, max_value=5),
-           st.integers(min_value=-10, max_value=10))
+    @given(small_polys, small_fractions, st.integers(min_value=-10, max_value=10))
     def test_shift_agrees_with_evaluation(self, p, c, x):
         assert p.shifted(c)(x) == p(x + c)
+
+
+class TestIntegerKernels:
+    """The integer kernels agree with the Fraction loops they replaced."""
+
+    @given(small_polys, small_polys)
+    def test_mul(self, a, b):
+        assert a * b == reference_mul(a, b)
+
+    @given(small_polys, nonzero_polys)
+    def test_divmod(self, a, b):
+        assert divmod(a, b) == reference_divmod(a, b)
+
+    @given(small_polys, small_fractions)
+    def test_shift(self, p, offset):
+        assert p.shifted(offset) == reference_shifted(p, offset)
+
+    @given(nonzero_polys)
+    def test_content_and_primitive(self, p):
+        content, primitive = p.content_and_primitive()
+        den, ints = primitive.common_integer_form()
+        assert (den, gcd(*ints)) == (1, 1) and ints[-1] > 0
+        assert primitive * content == p
+
+    @given(small_polys)
+    def test_integer_form_round_trip(self, p):
+        assert RationalPolynomial.from_integer_form(*p.common_integer_form()) == p
+
+    @pytest.mark.parametrize("divisor", [
+        2 * X + 1,
+        -2 * X - 1,
+        -X,
+        Fraction(-3, 4) * X**2 + Fraction(1, 2),
+        6 * X**3 - 5 * X + Fraction(7, 3),
+        -(X * (X + 1) * (2 * X + 1)),
+    ])
+    def test_divmod_by_leads_other_than_one(self, cache, divisor):
+        for k in (1, 4, 9, 30):
+            s = faulhaber_poly(k, cache)
+            assert divmod(s, divisor) == reference_divmod(s, divisor)
+
+    @pytest.mark.parametrize("offset", [1, -1, Fraction(-3, 4), Fraction(5, 2)])
+    def test_shift_at_degree_41(self, cache, offset):
+        s = faulhaber_poly(40, cache)
+        assert s.shifted(offset) == reference_shifted(s, offset)
 
 
 class TestNormalForms:
