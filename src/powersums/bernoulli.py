@@ -89,10 +89,20 @@ class BernoulliCache:
         The table goes to a temp file of this save's own in the same
         directory, which then replaces ``path``, so concurrent writers never
         share a half-written file.
+
+        The table never shrinks on disk: a longer file at ``path`` that loads
+        cleanly is left in place (a shorter one costs only a line count).  A
+        writer whose replace lands between that check and this one's is lost.
         """
         with self._lock:
             snapshot = list(self._values)
         path = Path(path)
+        if _line_count(path) > len(snapshot):
+            try:
+                self.load(path)
+                return
+            except (CacheCorruptionError, OSError):
+                pass
         text = "".join(f"{i} {format_rational(v)}\n" for i, v in enumerate(snapshot))
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:
@@ -144,6 +154,16 @@ class BernoulliCache:
         cache = cls()
         cache._values = values
         return cache
+
+
+def _line_count(path: Path) -> int:
+    """Lines in the file at path, 0 if it cannot be read."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return 0
+    lines = data.count(b"\n")
+    return lines + 1 if data and not data.endswith(b"\n") else lines
 
 
 def _tangent_numbers(count: int) -> list[int]:

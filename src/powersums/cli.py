@@ -19,7 +19,9 @@ import os
 import re
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from statistics import median
 
@@ -109,6 +111,14 @@ def _open_cache(choice: str | None) -> tuple[BernoulliCache, Path | None]:
     return BernoulliCache(), path
 
 
+def _format_option(*choices: str) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--format", choices=choices, default="plain", help="output format (default: plain)"
+    )
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="powersums",
@@ -122,13 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Bernoulli cache file ('none' disables persistence; "
         "default: a per-user config file)",
     )
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument(
-        "--format",
-        choices=("plain", "json", "latex"),
-        default="plain",
-        help="output format (default: plain)",
-    )
+    fmt = _format_option("plain", "json", "latex")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -220,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        parents=[common, fmt],
+        parents=[common, _format_option("plain", "json")],
         help="search integer-value divisibility",
         description="Tabulate the (n, k) pairs, n <= max-n and k <= max-k, "
         "for which the chosen divisor evaluated at n divides the integer "
@@ -240,38 +244,35 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_bernoulli(args: argparse.Namespace, cache: BernoulliCache) -> int:
     values = bernoulli_range(args.max, cache)
     if args.format == "json":
-        print(
-            json.dumps(
-                [{"n": i, "value": format_rational(v)} for i, v in enumerate(values)],
-                separators=(",", ":"),
-            )
-        )
-    elif args.format == "latex":
-        for i, v in enumerate(values):
-            print(f"B_{{{i}}} = {format_rational_latex(v)}")
-    else:
-        for i, v in enumerate(values):
-            print(f"B_{i} = {format_exact(v)}")
+        entries = [{"n": i, "value": format_rational(v)} for i, v in enumerate(values)]
+        print(json.dumps(entries, separators=(",", ":")))
+        return 0
+    latex = args.format == "latex"
+    for i, v in enumerate(values):
+        print(f"B_{{{i}}} = {format_rational_latex(v)}" if latex
+              else f"B_{i} = {format_exact(v)}")
     return 0
 
 
+def _running_sums(k: int, max_n: int) -> Iterator[tuple[int, int]]:
+    """(n, 1^k + ... + n^k) for n = 0..max_n, by direct summation."""
+    return enumerate(accumulate((n**k for n in range(1, max_n + 1)), initial=0))
+
+
 def _oracle_mismatch(poly, k: int) -> int | None:
-    """First n in 1..50 where poly(n) differs from the running power sum."""
-    running = 0
-    for n in range(1, 51):
-        running += n**k
-        if poly(n) != running:
-            return n
-    return None
+    """First n in 0..50 where poly(n) differs from the running power sum."""
+    return next((n for n, running in _running_sums(k, 50) if poly(n) != running), None)
 
 
 def cmd_faulhaber(args: argparse.Namespace, cache: BernoulliCache) -> int:
     if (args.k is None) == (args.range is None):
         print("error: provide exactly one of K or --range", file=sys.stderr)
         return 2
-    ks = [args.k] if args.k is not None else list(range(args.range[0], args.range[1] + 1))
-    lines: list[str] = []
-    entries: list[dict] = []
+    ks = [args.k] if args.k is not None else range(args.range[0], args.range[1] + 1)
+    bernoulli_range(ks[-1], cache)  # every index the loop reads, in one extension
+    style = args.format
+    as_json = style == "json"
+    rendered: list[str | dict] = []
     for k in ks:
         poly = faulhaber_poly(k, cache)
         bad = _oracle_mismatch(poly, k)
@@ -284,21 +285,15 @@ def cmd_faulhaber(args: argparse.Namespace, cache: BernoulliCache) -> int:
             return 1
         if args.factored:
             form = factored_form(k, cache)
-            if args.format == "json":
-                entries.append(factored_to_json(form))
-            else:
-                lines.append(format_factored(form, style=args.format))
+            item = factored_to_json(form) if as_json else format_factored(form, style)
         else:
-            if args.format == "json":
-                entries.append(poly_to_json(poly, k=k))
-            else:
-                lines.append(format_power_sum(k, poly, style=args.format))
-    if args.format == "json":
-        payload = entries[0] if args.k is not None else entries
+            item = poly_to_json(poly, k) if as_json else format_power_sum(k, poly, style)
+        rendered.append(item)
+    if as_json:
+        payload = rendered[0] if args.k is not None else rendered
         print(json.dumps(payload, separators=(",", ":")))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(rendered))
     return 0
 
 
@@ -313,10 +308,9 @@ def cmd_sum(args: argparse.Namespace, cache: BernoulliCache) -> int:
         return 2
     if args.mode == "naive":
         value = power_sum_naive(args.n, args.k)
-    elif args.mode == "closed":
-        value = power_sum_closed(args.n, args.k, cache)
     else:
         value = power_sum_closed(args.n, args.k, cache)
+    if args.mode == "check":
         oracle = power_sum_naive(args.n, args.k)
         if value != oracle:
             print(
@@ -331,60 +325,51 @@ def cmd_sum(args: argparse.Namespace, cache: BernoulliCache) -> int:
 
 def cmd_verify(args: argparse.Namespace, cache: BernoulliCache) -> int:
     max_n, max_k = args.max_n, args.max_k
+    bernoulli_range(2 * max_k + 1 if max_k else 0, cache)  # every index the suites read
+    # Each suite yields one item per check: None if it holds, else what failed.
+    # A residual fails when it is nonzero.
+    suites = (
+        ("power sums", "comparisons", (
+            f"power sum at n={n}, k={k}: closed {format_exact(closed)} != "
+            f"{format_exact(running)}" if closed != running else None
+            for k in range(max_k + 1)
+            for n, running in _running_sums(k, max_n)
+            for closed in [power_sum_closed(n, k, cache)]
+        )),
+        ("recurrence", "identities", (
+            f"recurrence identity at n={n}" if recurrence_residual(n, cache) else None
+            for n in range(1, max_k + 1)
+        )),
+        ("telescoping", "identities", (
+            f"telescoping identity at k={k}" if telescope_residual(k, cache) else None
+            for k in range(max_k + 1)
+        )),
+        ("odd-index zeros", "checks", (
+            f"odd-index zero at index {i}" if bernoulli(i, cache) else None
+            for i in range(3, 2 * max_k + 2, 2)
+        )),
+        ("divisibility", "divisions", (
+            f"divisibility by {claim.label} at exponent {report.k}"
+            if not report.divides
+            or report.divisor * report.quotient != faulhaber_poly(report.k, cache)
+            else None
+            for problem, claim in CLAIMS.items()
+            # every claim has exponent(k) >= k, so k <= max_k bounds the search
+            for k in range(1, max_k + 1)
+            if claim.exponent(k) <= max_k
+            for report in [check_claim(problem, k, cache)]
+        )),
+    )
     total = 0
-
-    grid = 0
-    for k in range(max_k + 1):
-        running = 0
-        for n in range(max_n + 1):
-            if n:
-                running += n**k
-            closed = power_sum_closed(n, k, cache)
-            if closed != running:
-                print(
-                    f"FAIL power sum at n={n}, k={k}: closed "
-                    f"{format_exact(closed)} != {format_exact(running)}"
-                )
+    for name, noun, checks in suites:
+        count = 0
+        for failure in checks:
+            if failure is not None:
+                print(f"FAIL {failure}")
                 return 1
-            grid += 1
-    print(f"power sums        {grid} comparisons ok")
-    total += grid
-
-    for n in range(1, max_k + 1):
-        if recurrence_residual(n, cache) != 0:
-            print(f"FAIL recurrence identity at n={n}")
-            return 1
-    print(f"recurrence        {max_k} identities ok")
-    total += max_k
-
-    for k in range(max_k + 1):
-        if not telescope_residual(k, cache).is_zero():
-            print(f"FAIL telescoping identity at k={k}")
-            return 1
-    print(f"telescoping       {max_k + 1} identities ok")
-    total += max_k + 1
-
-    for m in range(1, max_k + 1):
-        if bernoulli(2 * m + 1, cache) != 0:
-            print(f"FAIL odd-index zero at index {2 * m + 1}")
-            return 1
-    print(f"odd-index zeros   {max_k} checks ok")
-    total += max_k
-
-    checks = 0
-    for problem, claim in CLAIMS.items():
-        k = 1
-        while claim.exponent(k) <= max_k:
-            report = check_claim(problem, k, cache)
-            product = report.divisor * report.quotient
-            if not report.divides or product != faulhaber_poly(report.k, cache):
-                print(f"FAIL divisibility by {claim.label} at exponent {report.k}")
-                return 1
-            checks += 1
-            k += 1
-    print(f"divisibility      {checks} divisions ok")
-    total += checks
-
+            count += 1
+        print(f"{name:<17} {count} {noun} ok")
+        total += count
     print(f"all checks passed ({total} total)")
     return 0
 
@@ -397,26 +382,19 @@ def run_benchmark(
         raise ValueError("n and iters must be positive")
     cache = cache if cache is not None else BernoulliCache()
     bernoulli(k, cache)  # warm the table so timings measure evaluation only
-    closed_times: list[float] = []
-    naive_times: list[float] = []
-    closed_values: list[int] = []
-    naive_values: list[int] = []
-    for _ in range(iters):
-        start = time.perf_counter()
-        closed_values.append(power_sum_closed(n, k, cache))
-        closed_times.append(time.perf_counter() - start)
-    for _ in range(iters):
-        start = time.perf_counter()
-        naive_values.append(power_sum_naive(n, k))
-        naive_times.append(time.perf_counter() - start)
-    values = set(closed_values) | set(naive_values)
-    return BenchResult(
-        n=n,
-        k=k,
-        closed_time=median(closed_times),
-        naive_time=median(naive_times),
-        values_equal=len(values) == 1,
-    )
+    medians: list[float] = []
+    values: set[int] = set()
+    strategies = (lambda: power_sum_closed(n, k, cache), lambda: power_sum_naive(n, k))
+    for strategy in strategies:
+        times: list[float] = []
+        for _ in range(iters):
+            start = time.perf_counter()
+            value = strategy()
+            times.append(time.perf_counter() - start)
+            values.add(value)
+        medians.append(median(times))
+    closed_time, naive_time = medians
+    return BenchResult(n, k, closed_time, naive_time, values_equal=len(values) == 1)
 
 
 def cmd_bench(args: argparse.Namespace, cache: BernoulliCache) -> int:
@@ -456,6 +434,7 @@ def cmd_divide(args: argparse.Namespace, cache: BernoulliCache) -> int:
 
 def cmd_sweep(args: argparse.Namespace, cache: BernoulliCache) -> int:
     claim = CLAIMS[int(args.divisor[1:])]
+    bernoulli_range(args.max_k, cache)  # every index the sweep reads, in one extension
     hits = [
         {"n": n, "k": k}
         for n in range(1, args.max_n + 1)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Any
 
-from .bernoulli import BernoulliCache, bernoulli
+from .bernoulli import BernoulliCache, bernoulli_range
 from .exact_arith import format_exact, format_rational_latex, parse_int
 from .polynomial import RationalPolynomial, format_terms, monomial
 
@@ -51,8 +51,8 @@ def p_poly(k: int, cache: BernoulliCache | None = None) -> RationalPolynomial:
     if k < 0:
         raise ValueError("exponent must be nonnegative")
     coeffs = [Fraction(0)] * (k + 2)
-    for i in range(k + 1):
-        coeffs[k + 1 - i] = comb(k + 1, i) * bernoulli(i, cache)
+    for i, b in enumerate(bernoulli_range(k, cache)):
+        coeffs[k + 1 - i] = comb(k + 1, i) * b
     return RationalPolynomial(coeffs)
 
 
@@ -138,9 +138,7 @@ def poly_from_json(data: dict[str, Any]) -> RationalPolynomial:
     )
 
 
-def format_polynomial(
-    p: RationalPolynomial, style: str = "plain", var: str = "n"
-) -> str:
+def format_polynomial(p: RationalPolynomial, style: str = "plain") -> str:
     """Common-denominator rendering, e.g. ``1/6 (2n^3 + 3n^2 + n)``."""
     if p.is_zero():
         return "0"
@@ -148,7 +146,7 @@ def format_polynomial(
         value = p.coefficient(0)
         return format_rational_latex(value) if style == "latex" else format_exact(value)
     den, ints = p.common_integer_form()
-    body = format_terms(ints, var, braced=(style == "latex"))
+    body = format_terms(ints, "n", braced=(style == "latex"))
     if den == 1:
         return body
     if style == "latex":

@@ -341,6 +341,29 @@ class TestPersistence:
         with pytest.raises(CacheCorruptionError, match="expected index 1"):
             BernoulliCache.load(path)
 
+    def test_save_never_shrinks_a_longer_valid_file(self, cache, tmp_path):
+        path = tmp_path / "bernoulli.cache"
+        bernoulli(200, cache)
+        cache.save(path)
+        first, second = BernoulliCache.load(path), BernoulliCache.load(path)
+        bernoulli(300, second)
+        second.save(path)
+        bernoulli(205, first)
+        first.save(path)
+        assert len(BernoulliCache.load(path)) == 301
+
+    def test_save_replaces_a_longer_corrupt_file(self, cache, tmp_path):
+        path = tmp_path / "bernoulli.cache"
+        bernoulli(12, cache)
+        cache.save(path)
+        lines = path.read_text().splitlines()
+        lines[12] = "12 1/2"
+        path.write_text("".join(line + "\n" for line in lines))
+        short = BernoulliCache()
+        bernoulli(6, short)
+        short.save(path)
+        assert len(BernoulliCache.load(path)) == 7
+
     def test_save_leaves_a_foreign_tmp_file_alone(self, cache, tmp_path):
         bernoulli(4, cache)
         path = tmp_path / "bernoulli.cache"

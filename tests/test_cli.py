@@ -203,6 +203,36 @@ class TestVerifyCommand:
             f"FAIL divisibility by {claim.label} at exponent {claim.exponent(1)}"
         )
 
+    PASSED = [
+        "power sums        30 comparisons ok",
+        "recurrence        4 identities ok",
+        "telescoping       5 identities ok",
+    ]
+
+    # One broken check per suite: the suites before it report, it prints
+    # its FAIL line, and nothing after it runs.
+    @pytest.mark.parametrize("name, broken, passed, fail", [
+        ("power_sum_closed",
+         lambda real: lambda n, k, cache=None: real(n, k, cache) + ((n, k) == (3, 2)),
+         0, "FAIL power sum at n=3, k=2: closed 15 != 14"),
+        ("recurrence_residual",
+         lambda real: lambda n, cache=None: real(n, cache) + (n == 3),
+         1, "FAIL recurrence identity at n=3"),
+        ("telescope_residual",
+         lambda real: lambda k, cache=None: real(k, cache) + (k == 2),
+         2, "FAIL telescoping identity at k=2"),
+        ("bernoulli",
+         lambda real: lambda n, cache=None: real(n, cache) + (n == 7),
+         3, "FAIL odd-index zero at index 7"),
+    ], ids=["power_sum_closed", "recurrence_residual", "telescope_residual", "bernoulli"])
+    def test_each_suite_reports_its_first_failure(
+        self, capsys, monkeypatch, name, broken, passed, fail
+    ):
+        monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
+        code, out, err = run(capsys, "verify", "--max-n", "5", "--max-k", "4", "--cache", "none")
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [*self.PASSED[:passed], fail]
+
 
 class TestBenchCommand:
     def test_reports_and_agrees(self, capsys):
@@ -261,12 +291,51 @@ class TestSweepCommand:
             {"n": 4, "k": 5},
         ]
 
+    def test_latex_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--max-n", "3", "--max-k", "3", "--format", "latex",
+                  "--cache", "none"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'latex'" in capsys.readouterr().err
+
     def test_triple_divisor_empty(self, capsys):
         code, out, _ = run(
             capsys, "sweep", "--max-n", "6", "--max-k", "8", "--cache", "none"
         )
         assert code == 0
         assert "0 of" in out
+
+
+# (argv, entries of B the command reads): faulhaber up to the top of its
+# range, verify up to the odd index 2 max_k + 1, sweep up to max_k.
+FRESH_TABLE_RUNS = [
+    pytest.param(["faulhaber", "--range", "0..40"], 41, id="faulhaber"),
+    pytest.param(["verify", "--max-n", "30", "--max-k", "8"], 18, id="verify"),
+    pytest.param(["sweep", "--max-n", "5", "--max-k", "20"], 21, id="sweep"),
+]
+
+
+class TestOneTableExtension:
+    # Each command reads its largest Bernoulli index first, so a fresh
+    # table is built by one run of the tangent triangle, not one per index.
+    @pytest.mark.parametrize("argv, length", FRESH_TABLE_RUNS)
+    def test_fresh_table_is_built_once(self, capsys, tangent_calls, argv, length):
+        code, _, _ = run(capsys, *argv, "--cache", "none")
+        assert code == 0
+        assert tangent_calls == [(length - 1) // 2]
+
+    @pytest.mark.parametrize("argv, length", FRESH_TABLE_RUNS)
+    def test_saved_table_ends_at_the_largest_index_read(self, capsys, tmp_path, argv, length):
+        path = tmp_path / "bern.cache"
+        code, _, _ = run(capsys, *argv, "--cache", str(path))
+        assert code == 0
+        assert len(BernoulliCache.load(path)) == length
+
+    def test_degenerate_verify_grows_nothing(self, capsys, tmp_path):
+        path = tmp_path / "bern.cache"
+        code, _, _ = run(capsys, "verify", "--max-n", "3", "--max-k", "0", "--cache", str(path))
+        assert code == 0
+        assert not path.exists()
 
 
 class TestCachePersistence:

@@ -63,6 +63,11 @@ class TestAuxiliaryPolynomial:
         with pytest.raises(ValueError):
             p_poly(-1, cache)
 
+    def test_fresh_table_is_built_once(self, tangent_calls):
+        # B_0..B_40 come from one run of the tangent triangle, not one per index.
+        p_poly(40, BernoulliCache())
+        assert tangent_calls == [20]
+
 
 class TestClosedForms:
     def test_k0(self, cache):
