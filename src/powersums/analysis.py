@@ -19,7 +19,6 @@ No general factorization engine is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
@@ -68,8 +67,7 @@ CLAIMS: dict[int, Claim] = {
 }
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     """Outcome of one exact polynomial division attempt against S^k."""
 
     k: int
@@ -79,8 +77,7 @@ class DivisibilityReport:
     remainder: RationalPolynomial
 
 
-@dataclass(frozen=True)
-class FactoredForm:
+class FactoredForm(NamedTuple):
     """S^k as scalar * product(factor^multiplicity), factors primitive."""
 
     k: int

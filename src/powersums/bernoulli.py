@@ -23,7 +23,6 @@ re-checks it on the top entries of a persisted table.
 from __future__ import annotations
 
 import os
-import tempfile
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -103,6 +102,8 @@ class BernoulliCache:
                 return
             except (CacheCorruptionError, OSError):
                 pass
+        import tempfile  # only a save pays for the import
+
         text = "".join(f"{i} {format_rational(v)}\n" for i, v in enumerate(snapshot))
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:

@@ -14,16 +14,14 @@ cache file between runs unless ``--cache none`` is given.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from statistics import median
+from typing import Any, NamedTuple
 
 from .analysis import (
     CLAIMS,
@@ -59,8 +57,7 @@ NAIVE_GUARD_LIMIT = 10**8
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
 
-@dataclass(frozen=True)
-class BenchResult:
+class BenchResult(NamedTuple):
     """Median wall times for both power-sum strategies on one (n, k)."""
 
     n: int
@@ -152,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print closed-form power-sum polynomials",
         description="Print the closed-form polynomial for 1^k + ... + n^k, "
         "expanded or factored. Every polynomial is checked against direct "
-        "summation at n = 1..50 before printing.",
+        "summation at n = 0..50 before printing.",
     )
     p.add_argument("k", type=_nonneg_int, nargs="?", help="single exponent")
     p.add_argument("--range", type=_k_range, metavar="A..B", help="exponent range")
@@ -241,11 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_json(payload: Any) -> None:
+    import json  # only JSON output pays for the import
+
+    print(json.dumps(payload, separators=(",", ":")))
+
+
 def cmd_bernoulli(args: argparse.Namespace, cache: BernoulliCache) -> int:
     values = bernoulli_range(args.max, cache)
     if args.format == "json":
-        entries = [{"n": i, "value": format_rational(v)} for i, v in enumerate(values)]
-        print(json.dumps(entries, separators=(",", ":")))
+        _print_json([{"n": i, "value": format_rational(v)} for i, v in enumerate(values)])
         return 0
     latex = args.format == "latex"
     for i, v in enumerate(values):
@@ -260,8 +262,18 @@ def _running_sums(k: int, max_n: int) -> Iterator[tuple[int, int]]:
 
 
 def _oracle_mismatch(poly, k: int) -> int | None:
-    """First n in 0..50 where poly(n) differs from the running power sum."""
-    return next((n for n, running in _running_sums(k, 50) if poly(n) != running), None)
+    """First n in 0..50 where poly(n) differs from the running power sum.
+
+    Compares den * poly(n), by integer Horner, with den * running.
+    """
+    den, ints = poly.common_integer_form()
+    for n, running in _running_sums(k, 50):
+        value = 0
+        for c in reversed(ints):
+            value = value * n + c
+        if value != den * running:
+            return n
+    return None
 
 
 def cmd_faulhaber(args: argparse.Namespace, cache: BernoulliCache) -> int:
@@ -290,8 +302,7 @@ def cmd_faulhaber(args: argparse.Namespace, cache: BernoulliCache) -> int:
             item = poly_to_json(poly, k) if as_json else format_power_sum(k, poly, style)
         rendered.append(item)
     if as_json:
-        payload = rendered[0] if args.k is not None else rendered
-        print(json.dumps(payload, separators=(",", ":")))
+        _print_json(rendered[0] if args.k is not None else rendered)
     else:
         print("\n".join(rendered))
     return 0
@@ -378,6 +389,8 @@ def run_benchmark(
     n: int, k: int, iters: int, cache: BernoulliCache | None = None
 ) -> BenchResult:
     """Median-of-iters wall times for both strategies on one (n, k)."""
+    from statistics import median  # only ``bench`` pays for the import
+
     if n < 1 or iters < 1:
         raise ValueError("n and iters must be positive")
     cache = cache if cache is not None else BernoulliCache()
@@ -421,7 +434,7 @@ def cmd_bench(args: argparse.Namespace, cache: BernoulliCache) -> int:
 def cmd_divide(args: argparse.Namespace, cache: BernoulliCache) -> int:
     report = check_claim(args.problem, args.k, cache)
     if args.format == "json":
-        print(json.dumps(report_to_json(report), separators=(",", ":")))
+        _print_json(report_to_json(report))
         return 0
     style = args.format
     print(f"exponent  : {report.k}")
@@ -442,7 +455,7 @@ def cmd_sweep(args: argparse.Namespace, cache: BernoulliCache) -> int:
         if value_divisibility(n, k, claim.divisor, cache)
     ]
     if args.format == "json":
-        print(json.dumps({"divisor": claim.label, "hits": hits}, separators=(",", ":")))
+        _print_json({"divisor": claim.label, "hits": hits})
         return 0
     print(f"value divisibility by {claim.label}: {len(hits)} of "
           f"{args.max_n * (args.max_k + 1)} pairs")
@@ -452,8 +465,17 @@ def cmd_sweep(args: argparse.Namespace, cache: BernoulliCache) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        return _run(build_parser().parse_args(argv))
+    except (Exception, KeyboardInterrupt) as exc:
+        # Nothing escapes as a traceback, and a table grown before the
+        # failure is not saved.
+        text = "interrupted" if isinstance(exc, KeyboardInterrupt) else str(exc)
+        print(f"error: {text or type(exc).__name__}", file=sys.stderr)
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cache, cache_path = _open_cache(args.cache)
     except CacheCorruptionError as exc:

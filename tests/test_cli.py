@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +14,7 @@ from powersums.bernoulli import BernoulliCache, bernoulli, recurrence_residual
 from powersums.cli import default_cache_path, main
 from powersums.exact_arith import format_exact, parse_int
 from powersums.faulhaber import faulhaber_poly, poly_from_json
+from powersums.polynomial import X
 
 
 def run(capsys, *argv):
@@ -120,6 +121,22 @@ class TestFaulhaberCommand:
             main(["faulhaber", "--range", "7..3", "--cache", "none"])
         assert excinfo.value.code == 2
 
+    # S^k plus an extra term that vanishes at some of n = 0..50: the check
+    # must report the first n where it does not.
+    @pytest.mark.parametrize("extra, bad", [
+        (math.prod(X - j for j in range(1, 51)), 0),  # wrong only at n = 0
+        (math.prod(X - j for j in range(7)) / 5040, 7),
+    ], ids=["only-at-0", "from-7"])
+    def test_check_reports_the_first_wrong_n(self, capsys, monkeypatch, extra, bad):
+        real = cli.faulhaber_poly
+        monkeypatch.setattr(cli, "faulhaber_poly", lambda k, cache=None: real(k, cache) + extra)
+        code, out, err = run(capsys, "faulhaber", "5", "--cache", "none")
+        assert (code, out) == (1, "")
+        assert err == (
+            "internal error: closed form for k=5 disagrees with direct summation "
+            f"at n={bad}\n"
+        )
+
 
 class TestSumCommand:
     def test_closed_default(self, capsys):
@@ -193,7 +210,7 @@ class TestVerifyCommand:
             report = check_claim(p, k, cache)
             if p != problem:
                 return report
-            return dataclasses.replace(report, quotient=report.quotient + 1)
+            return report._replace(quotient=report.quotient + 1)
 
         monkeypatch.setattr(cli, "check_claim", skewed)
         code, out, _ = run(capsys, "verify", "--max-n", "5", "--max-k", "4", "--cache", "none")
@@ -435,6 +452,44 @@ class TestCachePersistence:
         run(capsys, "faulhaber", "8", "--cache", str(path))
         loaded = BernoulliCache.load(path)
         assert bernoulli(8, loaded) == bernoulli(8, cache)
+
+
+class TestUnexpectedErrors:
+    # Anything a command raises ends in one stderr line and exit 1, and the
+    # table it grew is not saved.
+    @pytest.mark.parametrize("exc, line", [
+        (ArithmeticError("closed form produced a non-integer 7/2 at n=10, k=5"),
+         "error: closed form produced a non-integer 7/2 at n=10, k=5"),
+        (MemoryError(), "error: MemoryError"),
+        (KeyboardInterrupt(), "error: interrupted"),
+    ], ids=["ArithmeticError", "MemoryError", "KeyboardInterrupt"])
+    def test_one_line_exit_1_and_no_save(self, capsys, monkeypatch, tmp_path, exc, line):
+        real = cli.power_sum_closed
+
+        def failing(n, k, cache=None):
+            real(n, k, cache)  # grows the table
+            raise exc
+
+        monkeypatch.setattr(cli, "power_sum_closed", failing)
+        path = tmp_path / "bern.cache"
+        code, out, err = run(capsys, "sum", "10", "5", "--cache", str(path))
+        assert (code, out, err) == (1, "", line + "\n")
+        assert not path.exists()
+
+
+class TestStartup:
+    def test_import_loads_no_heavy_stdlib_modules(self):
+        # -S keeps site-packages hooks out, so only the package's own imports count.
+        src = str(Path(powersums.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import powersums.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json', 'statistics', 'tempfile'}"
+            " & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
 
 
 class TestUsageErrors:

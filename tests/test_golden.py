@@ -27,6 +27,12 @@ CASES = {
         for divisor in ("p2", "p3", "p4")
         for fmt in ("plain", "json")
     },
+    "faulhaber-12-json": ["faulhaber", "12", "--format", "json"],
+    "faulhaber-range-0-20-plain": ["faulhaber", "--range", "0..20"],
+    **{
+        f"faulhaber-30-factored-{fmt}": ["faulhaber", "30", "--factored", "--format", fmt]
+        for fmt in ("json", "latex")
+    },
 }
 
 
