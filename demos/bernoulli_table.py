@@ -3,6 +3,9 @@
 Run:  python demos/bernoulli_table.py
 """
 
+import os
+import tempfile
+
 from powersums import BernoulliCache, bernoulli, bernoulli_range, recurrence_residual
 
 cache = BernoulliCache()
@@ -27,6 +30,8 @@ print(f"\nB_60 has a {len(str(abs(b60.numerator)))}-digit numerator "
 
 # Everything computed so far can be persisted and reloaded; the loader
 # re-verifies the identity on the top entries to catch corrupt files.
-cache.save("/tmp/bernoulli.cache")
-print('\nSaved the table to /tmp/bernoulli.cache ("<index> <num>/<den>" per line).')
-print(f"Reloaded: {len(BernoulliCache.load('/tmp/bernoulli.cache'))} entries verified.")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "bernoulli.cache")
+    cache.save(path)
+    print('\nSaved the table to a temporary file ("<index> <num>/<den>" per line).')
+    print(f"Reloaded: {len(BernoulliCache.load(path))} entries verified.")

@@ -163,8 +163,6 @@ def factored_form(k: int, cache: BernoulliCache | None = None) -> FactoredForm:
     scalar, primitive = remaining.content_and_primitive()
     if primitive.degree > 0:
         factors.append((primitive, 1))
-    else:
-        scalar *= primitive.coefficient(0)
     return FactoredForm(k=k, scalar=scalar, factors=tuple(factors))
 
 

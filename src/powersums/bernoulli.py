@@ -118,30 +118,33 @@ class BernoulliCache:
     def load(cls, path: str | Path) -> BernoulliCache:
         """Load a persisted table, rejecting anything inconsistent.
 
-        The file must be ASCII, indices must be contiguous from 0, entry 0
-        must be 1/1, and the identity sum_{i<=n} C(n+1, i) B_i = 0 is
-        re-checked for the top three indices to catch silently corrupted
-        values.
+        The file must be ASCII, one ``<index> <num>/<den>`` line per index
+        with one space and a ``\\n`` line end (the last line may lack it),
+        indices must be contiguous from 0, entry 0 must be 1/1, and the
+        identity sum_{i<=n} C(n+1, i) B_i = 0 is re-checked for the top three
+        indices to catch silently corrupted values.
         """
         try:
-            lines = Path(path).read_text(encoding="ascii").splitlines()
+            lines = Path(path).read_bytes().decode("ascii").split("\n")
         except UnicodeDecodeError as exc:
             raise CacheCorruptionError(f"{path}: byte {exc.start} is not ASCII") from exc
+        if not lines[-1]:
+            lines.pop()  # the newline ending the last line
         if not lines:
             raise CacheCorruptionError(f"{path}: cache file is empty")
         values: list[Fraction] = []
         for lineno, line in enumerate(lines):
-            fields = line.split()
-            if len(fields) != 2:
+            index, space, text = line.partition(" ")
+            if not space:
                 raise CacheCorruptionError(
                     f"{path}:{lineno + 1}: expected '<index> <num>/<den>'"
                 )
-            if fields[0] != str(lineno):
+            if index != str(lineno):
                 raise CacheCorruptionError(
-                    f"{path}:{lineno + 1}: expected index {lineno}, got {fields[0]!r}"
+                    f"{path}:{lineno + 1}: expected index {lineno}, got {index!r}"
                 )
             try:
-                value = parse_rational(fields[1])
+                value = parse_rational(text)
             except ValueError as exc:
                 raise CacheCorruptionError(f"{path}:{lineno + 1}: {exc}") from exc
             values.append(value)

@@ -8,10 +8,12 @@ It is derived from the auxiliary polynomial
 
     P(x) = sum_{i=0}^{k} C(k+1, i) * B_i * x^(k+1-i)
 
-whose forward difference telescopes to P(x+1) - P(x) = (k+1) x^k, giving
-S^k(x) = P(x)/(k+1) + x^k = P(x+1)/(k+1) for k >= 1.  The exponent-zero
-sum is x itself; the generic form is off by one there because the
-telescoped sum starts at 0^0 = 1, so P(x+1)/1 counts one term too many.
+whose forward difference telescopes to P(x+1) - P(x) = (k+1) x^k.  With
+B_1 = +1/2 in place of -1/2, the same sum over k+1 is S^k for every k >= 0
+(Knuth, *Johann Faulhaber and sums of powers*, 1993); that is how
+:func:`faulhaber_poly` builds it.  :func:`power_sum_closed` evaluates
+S^k(n) = P(n+1)/(k+1) instead, which holds for k >= 1 only: at k = 0 the
+telescoped sum starts at 0^0 = 1, so P(n+1)/1 counts one term too many.
 
 Power sums of the first 10^5 integers at exponent 10 take microseconds
 through the closed form versus milliseconds by direct summation, which is
@@ -62,16 +64,11 @@ def faulhaber_poly(k: int, cache: BernoulliCache | None = None) -> RationalPolyn
     >>> print(faulhaber_poly(2))
     1/6 (2x^3 + 3x^2 + x)
     """
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    if k == 0:
-        # The sum of n ones is n; the generic construction would give
-        # x + 1 here (see the module docstring).
-        return monomial(1)
-    # S^k = (P + (k+1) x^k) / (k+1), on P's integer form den * P.
+    # S^k is P/(k+1) with B_1 = +1/2 in place of -1/2.  B_1 reaches only the
+    # x^k coefficient, so negate that (P's zero constant term when k = 0).
     den, ints = p_poly(k, cache).common_integer_form()
     ints = list(ints)
-    ints[k] += den * (k + 1)
+    ints[k] = -ints[k]
     return RationalPolynomial.from_integer_form(den * (k + 1), ints)
 
 
@@ -140,8 +137,6 @@ def poly_from_json(data: dict[str, Any]) -> RationalPolynomial:
 
 def format_polynomial(p: RationalPolynomial, style: str = "plain") -> str:
     """Common-denominator rendering, e.g. ``1/6 (2n^3 + 3n^2 + n)``."""
-    if p.is_zero():
-        return "0"
     if p.degree == 0:
         value = p.coefficient(0)
         return format_rational_latex(value) if style == "latex" else format_exact(value)

@@ -89,8 +89,6 @@ class RationalPolynomial:
             for a, b in zip_longest(self._coeffs, other._coeffs, fillvalue=_ZERO)
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> RationalPolynomial:
         return RationalPolynomial(-c for c in self._coeffs)
 
@@ -99,16 +97,11 @@ class RationalPolynomial:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> RationalPolynomial:
-        return (-self) + other
-
     def __mul__(self, other: RationalPolynomial | Scalar) -> RationalPolynomial:
         if isinstance(other, (int, Fraction)):
             return RationalPolynomial(c * other for c in self._coeffs)
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return RationalPolynomial()
         da, a = self.common_integer_form()
         db, b = other.common_integer_form()
         result = [0] * (len(a) + len(b) - 1)
@@ -119,14 +112,6 @@ class RationalPolynomial:
         return RationalPolynomial.from_integer_form(da * db, result)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar) -> RationalPolynomial:
-        """Division by a nonzero scalar (for polynomial division use divmod)."""
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if scalar == 0:
-            raise ZeroDivisionError("polynomial division by zero scalar")
-        return RationalPolynomial(c / scalar for c in self._coeffs)
 
     def __pow__(self, exponent: int) -> RationalPolynomial:
         if exponent < 0:
@@ -228,8 +213,6 @@ class RationalPolynomial:
         return poly
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
         den, ints = self.common_integer_form()
         body = format_terms(ints, "x")
         return body if den == 1 else f"1/{format_exact(den)} ({body})"

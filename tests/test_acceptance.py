@@ -121,7 +121,7 @@ def test_criterion_06_two_forms_agree():
     cache = BernoulliCache()
     for k in range(31):
         p = p_poly(k, cache)
-        assert p / (k + 1) + monomial(k) == p.shifted(1) / (k + 1)
+        assert p * Fraction(1, k + 1) + monomial(k) == p.shifted(1) * Fraction(1, k + 1)
     _passed(6, "correction form equals shift form coefficient-for-coefficient")
 
 

@@ -19,7 +19,7 @@ from powersums.polynomial import RationalPolynomial, X
 
 def scaled(ints_ascending, den):
     """Shorthand for (1/den) * polynomial with the given integer coefficients."""
-    return RationalPolynomial(ints_ascending) / den
+    return RationalPolynomial(ints_ascending) * Fraction(1, den)
 
 
 DIVISOR_N_N1 = X * (X + 1)
@@ -160,7 +160,7 @@ class TestValueDivisibility:
 
     def test_fractional_modulus_rejected(self, cache):
         with pytest.raises(ValueError):
-            value_divisibility(3, 2, X / 2, cache)
+            value_divisibility(3, 2, X * Fraction(1, 2), cache)
 
     def test_n0_rejected(self, cache):
         with pytest.raises(ValueError):

@@ -75,3 +75,6 @@ def test_polynomial_keeps_only_divmod_for_division():
     assert "__divmod__" in cls.__dict__
     assert "__floordiv__" not in cls.__dict__
     assert "__mod__" not in cls.__dict__
+    assert "__truediv__" not in cls.__dict__
+    assert "__rsub__" not in cls.__dict__
+    assert "__radd__" not in cls.__dict__

@@ -341,6 +341,30 @@ class TestPersistence:
         with pytest.raises(CacheCorruptionError, match="expected index 1"):
             BernoulliCache.load(path)
 
+    # A valid 7-entry table with its spacing changed; whitespace-splitting
+    # would still read 7 entries from each.
+    @pytest.mark.parametrize("respace", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace(" ", "\t"),
+        lambda text: text.replace(" ", "  "),
+        lambda text: "".join(f" {line} \n" for line in text.splitlines()),
+        lambda text: text.replace("\n", "\f"),
+    ], ids=["crlf", "tab", "double-space", "padded", "form-feed"])
+    def test_rejects_non_canonical_spacing(self, cache, tmp_path, respace):
+        bernoulli(6, cache)
+        path = tmp_path / "bernoulli.cache"
+        cache.save(path)
+        path.write_bytes(respace(path.read_text()).encode())
+        with pytest.raises(CacheCorruptionError):
+            BernoulliCache.load(path)
+
+    def test_unterminated_last_line_loads(self, cache, tmp_path):
+        bernoulli(6, cache)
+        path = tmp_path / "bernoulli.cache"
+        cache.save(path)
+        path.write_text(path.read_text().rstrip("\n"))
+        assert len(BernoulliCache.load(path)) == 7
+
     def test_save_never_shrinks_a_longer_valid_file(self, cache, tmp_path):
         path = tmp_path / "bernoulli.cache"
         bernoulli(200, cache)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -125,7 +126,7 @@ class TestFaulhaberCommand:
     # must report the first n where it does not.
     @pytest.mark.parametrize("extra, bad", [
         (math.prod(X - j for j in range(1, 51)), 0),  # wrong only at n = 0
-        (math.prod(X - j for j in range(7)) / 5040, 7),
+        (math.prod(X - j for j in range(7)) * Fraction(1, 5040), 7),
     ], ids=["only-at-0", "from-7"])
     def test_check_reports_the_first_wrong_n(self, capsys, monkeypatch, extra, bad):
         real = cli.faulhaber_poly

@@ -62,6 +62,8 @@ class TestAuxiliaryPolynomial:
     def test_negative_exponent_rejected(self, cache):
         with pytest.raises(ValueError):
             p_poly(-1, cache)
+        with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
+            faulhaber_poly(-1, cache)
 
     def test_fresh_table_is_built_once(self, tangent_calls):
         # B_0..B_40 come from one run of the tangent triangle, not one per index.
@@ -102,7 +104,7 @@ class TestClosedForms:
             assert faulhaber_poly(k, cache)(0) == 0
 
     def test_difference_recovers_the_power(self, cache):
-        for k in range(31):
+        for k in [*range(31), 100, 200, 400]:
             poly = faulhaber_poly(k, cache)
             assert poly - poly.shifted(-1) == monomial(k)
 
@@ -112,7 +114,7 @@ class TestTwoConstructions:
         # P(x)/(k+1) + x^k and P(x+1)/(k+1) expand to the same coefficients.
         for k in range(31):
             p = p_poly(k, cache)
-            assert p / (k + 1) + monomial(k) == p.shifted(1) / (k + 1)
+            assert p * Fraction(1, k + 1) + monomial(k) == p.shifted(1) * Fraction(1, k + 1)
 
     def test_telescoping_residual_is_zero(self, cache):
         for k in range(31):
