@@ -92,9 +92,11 @@ def _k_range(text: str) -> tuple[int, int]:
 
 
 def default_cache_path() -> Path:
-    """Per-user cache location, honoring $XDG_CONFIG_HOME."""
-    root = os.environ.get("XDG_CONFIG_HOME")
-    base = Path(root).expanduser() if root else Path.home() / ".config"
+    """Per-user cache location, honoring $XDG_CONFIG_HOME unless it is
+    relative (invalid under the XDG Base Directory spec)."""
+    base = Path(os.environ.get("XDG_CONFIG_HOME", "")).expanduser()
+    if not base.is_absolute():
+        base = Path.home() / ".config"
     return base / "powersums" / "bernoulli.cache"
 
 

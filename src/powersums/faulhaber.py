@@ -138,7 +138,7 @@ def poly_from_json(data: dict[str, Any]) -> RationalPolynomial:
 def format_polynomial(p: RationalPolynomial, style: str = "plain") -> str:
     """Common-denominator rendering, e.g. ``1/6 (2n^3 + 3n^2 + n)``."""
     if p.degree == 0:
-        value = p.coefficient(0)
+        value = p.coefficients[0]
         return format_rational_latex(value) if style == "latex" else format_exact(value)
     den, ints = p.common_integer_form()
     body = format_terms(ints, "n", braced=(style == "latex"))

@@ -3,13 +3,15 @@
 Coefficients are stored ascending by power as an immutable tuple of
 ``Fraction`` values with trailing zeros trimmed, so the zero polynomial is
 the empty tuple and every nonzero polynomial has a nonzero leading
-coefficient.  All arithmetic is exact; nothing here ever touches floats.
+coefficient.  All arithmetic is exact: evaluation and shifts take an
+``int`` or ``Fraction`` only and raise ``TypeError`` for a float.
 
-The quadratic kernels (polynomial product, long division, Taylor shift,
-content) run on the common-integer form: the least denominator ``den``
-with ``den * p`` integral, and those integer coefficients.  Each converts
-once on entry and builds one result on exit, so the inner loops do
-integer additions and multiplications and pay no gcd per step.
+``RationalPolynomial(coefficients)`` is the one constructor; every kernel
+builds its result through it.  The quadratic kernels (polynomial product,
+long division, Taylor shift, content) run on the common-integer form: the
+least denominator ``den`` with ``den * p`` integral, and those integer
+coefficients.  Each converts once on entry and builds one result on exit,
+so the inner loops pay no gcd per step.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .exact_arith import format_exact
 
@@ -27,8 +29,6 @@ __all__ = [
     "format_terms",
     "monomial",
 ]
-
-Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
@@ -43,8 +43,8 @@ class RationalPolynomial:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coefficients: Iterable[Scalar] = ()) -> None:
-        coeffs = [Fraction(c) for c in coefficients]
+    def __init__(self, coefficients: Iterable[int | Fraction] = ()) -> None:
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
@@ -62,12 +62,6 @@ class RationalPolynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def coefficient(self, power: int) -> Fraction:
-        """Coefficient of x**power (zero beyond the stored degree)."""
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return _ZERO
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalPolynomial):
             return self._coeffs == other._coeffs
@@ -79,7 +73,7 @@ class RationalPolynomial:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def __add__(self, other: RationalPolynomial | Scalar) -> RationalPolynomial:
+    def __add__(self, other: RationalPolynomial | int | Fraction) -> RationalPolynomial:
         if isinstance(other, (int, Fraction)):
             other = RationalPolynomial([other])
         if not isinstance(other, RationalPolynomial):
@@ -92,12 +86,12 @@ class RationalPolynomial:
     def __neg__(self) -> RationalPolynomial:
         return RationalPolynomial(-c for c in self._coeffs)
 
-    def __sub__(self, other: RationalPolynomial | Scalar) -> RationalPolynomial:
+    def __sub__(self, other: RationalPolynomial | int | Fraction) -> RationalPolynomial:
         if not isinstance(other, (int, Fraction, RationalPolynomial)):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: RationalPolynomial | Scalar) -> RationalPolynomial:
+    def __mul__(self, other: RationalPolynomial | int | Fraction) -> RationalPolynomial:
         if isinstance(other, (int, Fraction)):
             return RationalPolynomial(c * other for c in self._coeffs)
         if not isinstance(other, RationalPolynomial):
@@ -133,15 +127,14 @@ class RationalPolynomial:
         da, rem = self.common_integer_form()
         db, div = divisor.common_integer_form()
         m = len(div) - 1
-        if len(rem) <= m:
-            return RationalPolynomial(), self
         # Pseudo-division: scaling by L^N up front (L = |lead|, N quotient
         # terms) keeps every step's top term divisible by lead, so that
         # L^N (da self) == (db divisor) quot + rem holds in integers.
         lead = div[-1]
-        scale = abs(lead) ** (len(rem) - m)
+        n = max(len(rem) - m, 0)
+        scale = abs(lead) ** n
         rem = [c * scale for c in rem]
-        quot = [0] * (len(rem) - m)
+        quot = [0] * n
         for i in range(len(rem) - 1, m - 1, -1):
             factor = rem[i] // lead
             if factor:
@@ -153,34 +146,27 @@ class RationalPolynomial:
             RationalPolynomial.from_integer_form(scale * da, rem[:m]),
         )
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         """Exact value at x, by Horner's scheme."""
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"exact evaluation needs an int or Fraction, not {type(x).__name__}")
         acc = _ZERO
         for c in reversed(self._coeffs):
             acc = acc * x + c
         return acc
 
-    def shifted(self, offset: Scalar) -> RationalPolynomial:
-        """The composed polynomial p(x + offset).
-
-        Write den * p(x) = sum a_i x^i with degree d, and offset = r/q.
-        The integers a_i q^(d-i) are the coefficients of
-        c(y) = q^d den p(y/q); the classical Taylor shift by r, d(d+1)/2
-        integer steps a[j] += r a[j+1], gives the coefficients g_j of
-        c(y + r), and putting y = qx, p(x + r/q) = sum g_j q^j x^j / (den q^d).
-        """
-        offset = Fraction(offset)
-        r, q = offset.numerator, offset.denominator
+    def shifted(self, offset: int | Fraction) -> RationalPolynomial:
+        """The composed polynomial p(x + offset), by the classical Taylor
+        shift: d(d+1)/2 steps a[j] += offset * a[j+1] on the coefficients
+        of den * p, in integers for an integer offset."""
+        if not isinstance(offset, (int, Fraction)):
+            raise TypeError(f"exact shift needs an int or Fraction, not {type(offset).__name__}")
         den, a = self.common_integer_form()
-        a, d = list(a), len(a) - 1
-        for i in range(d):
-            a[i] *= q ** (d - i)
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                a[j] += r * a[j + 1]
-        return RationalPolynomial.from_integer_form(
-            den * q**d, [c * q**j for j, c in enumerate(a)]
-        )
+        a = list(a)
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += offset * a[j + 1]
+        return RationalPolynomial.from_integer_form(den, a)
 
     def content_and_primitive(self) -> tuple[Fraction, RationalPolynomial]:
         """Split as content * primitive, where the primitive part has coprime
@@ -205,12 +191,7 @@ class RationalPolynomial:
     @classmethod
     def from_integer_form(cls, den: int, ints: Iterable[int]) -> RationalPolynomial:
         """The polynomial (1/den) * sum(ints[i] * x**i), for a nonzero den."""
-        coeffs = [Fraction(c, den) for c in ints]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        poly = cls.__new__(cls)
-        poly._coeffs = tuple(coeffs)
-        return poly
+        return cls(Fraction(c, den) for c in ints)
 
     def __str__(self) -> str:
         den, ints = self.common_integer_form()
@@ -221,7 +202,7 @@ class RationalPolynomial:
         return f"RationalPolynomial('{self}')"
 
 
-def monomial(power: int, coefficient: Scalar = 1) -> RationalPolynomial:
+def monomial(power: int, coefficient: int | Fraction = 1) -> RationalPolynomial:
     """The polynomial coefficient * x**power."""
     if power < 0:
         raise ValueError("monomial power must be nonnegative")

@@ -78,3 +78,9 @@ def test_polynomial_keeps_only_divmod_for_division():
     assert "__truediv__" not in cls.__dict__
     assert "__rsub__" not in cls.__dict__
     assert "__radd__" not in cls.__dict__
+
+
+def test_polynomial_drops_coefficient_lookup_and_scalar_alias():
+    # p.coefficients[i] replaces p.coefficient(i); annotations say int | Fraction.
+    assert "coefficient" not in powersums.RationalPolynomial.__dict__
+    assert not hasattr(importlib.import_module("powersums.polynomial"), "Scalar")

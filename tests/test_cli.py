@@ -448,6 +448,13 @@ class TestCachePersistence:
         assert code == 0
         assert (tmp_path / "powersums" / "bernoulli.cache").exists()
 
+    @pytest.mark.parametrize("root", ["conf", "./conf", ""])
+    def test_relative_xdg_config_home_is_ignored(self, tmp_path, monkeypatch, root):
+        # The XDG Base Directory spec: a relative path is invalid and ignored.
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CONFIG_HOME", root)
+        assert default_cache_path() == tmp_path / ".config" / "powersums" / "bernoulli.cache"
+
     def test_shared_across_commands(self, capsys, tmp_path, cache):
         path = tmp_path / "bern.cache"
         run(capsys, "faulhaber", "8", "--cache", str(path))

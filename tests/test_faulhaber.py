@@ -97,7 +97,7 @@ class TestClosedForms:
         for k in range(31):
             poly = faulhaber_poly(k, cache)
             assert poly.degree == k + 1
-            assert poly.coefficient(k + 1) == Fraction(1, k + 1)
+            assert poly.coefficients[k + 1] == Fraction(1, k + 1)
 
     def test_no_constant_term(self, cache):
         for k in range(31):
@@ -166,6 +166,10 @@ class TestEvaluation:
             power_sum_closed(-1, 2, cache)
         with pytest.raises(ValueError):
             power_sum_naive(-1, 2)
+
+    def test_float_argument_rejected(self, cache):
+        with pytest.raises(TypeError):
+            power_sum_closed(3.0, 2, cache)
 
     def test_verification_record(self, cache):
         assert power_sum_closed(7, 5, cache) == power_sum_naive(7, 5) == 29008

@@ -59,9 +59,8 @@ class TestConstruction:
     def test_degree_and_lookup(self):
         p = RationalPolynomial([Fraction(1, 2), 0, 3])
         assert p.degree == 2
-        assert p.coefficient(0) == Fraction(1, 2)
-        assert p.coefficient(1) == 0
-        assert p.coefficient(99) == 0
+        assert p.coefficients[0] == Fraction(1, 2)
+        assert p.coefficients[1] == 0
 
     def test_equality_is_structural(self):
         assert RationalPolynomial([0, 1]) == monomial(1) == X
@@ -124,6 +123,16 @@ class TestEvaluationAndShift:
         assert p(5) == 20
         assert p(Fraction(1, 2)) == Fraction(-1, 4)
 
+    @pytest.mark.parametrize("point", [0.1, 2.0, complex(1, 0), "1"])
+    def test_inexact_point_rejected(self, point):
+        with pytest.raises(TypeError):
+            (X * X)(point)
+
+    @pytest.mark.parametrize("offset", [0.5, 1.0, "1"])
+    def test_inexact_offset_rejected(self, offset):
+        with pytest.raises(TypeError):
+            (X + 1).shifted(offset)
+
     def test_zero_polynomial_evaluates_to_zero(self):
         assert RationalPolynomial()(12345) == 0
 
@@ -169,6 +178,17 @@ class TestIntegerKernels:
     @given(small_polys)
     def test_integer_form_round_trip(self, p):
         assert RationalPolynomial.from_integer_form(*p.common_integer_form()) == p
+
+    @pytest.mark.parametrize("den, ints", [
+        (6, [3, 0, -4]),  # den shares a factor with every coefficient
+        (4, [2, 4, 0, 0]),  # trailing zeros
+        (-10, [5, 0, 15, 0]),  # negative den, both
+        (7, [0, 0]),  # only zeros
+    ])
+    def test_from_integer_form_is_the_constructor(self, den, ints):
+        poly = RationalPolynomial.from_integer_form(den, ints)
+        assert poly == RationalPolynomial([Fraction(c, den) for c in ints])
+        assert all(type(c) is Fraction for c in poly.coefficients)
 
     @pytest.mark.parametrize("divisor", [
         2 * X + 1,
