@@ -6,12 +6,12 @@ the empty tuple and every nonzero polynomial has a nonzero leading
 coefficient.  All arithmetic is exact: evaluation and shifts take an
 ``int`` or ``Fraction`` only and raise ``TypeError`` for a float.
 
-``RationalPolynomial(coefficients)`` is the one constructor; every kernel
-builds its result through it.  The quadratic kernels (polynomial product,
+``RationalPolynomial(coefficients)`` is the one constructor, and every
+kernel builds its result through it.  The quadratic kernels (product,
 long division, Taylor shift, content) run on the common-integer form: the
-least denominator ``den`` with ``den * p`` integral, and those integer
-coefficients.  Each converts once on entry and builds one result on exit,
-so the inner loops pay no gcd per step.
+least denominator ``den`` with ``den * p`` integral, and those integers,
+converted once on entry, so their inner loops pay no gcd per step (a
+shift by a non-integer offset excepted).
 """
 
 from __future__ import annotations
