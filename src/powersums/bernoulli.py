@@ -48,11 +48,17 @@ class BernoulliCache:
     Extension is serialized behind a lock; completed prefixes may be read
     concurrently without synchronization because entries are appended in
     order and never mutated.
+
+    The table also keeps the last S^k that ``faulhaber_poly`` built from
+    it, as ``(k, poly)``, so a repeated k is not rebuilt.  Its entries never
+    change, so the slot never goes stale, and one tuple assignment replaces
+    it whole, so concurrent readers see one pair or the other.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1)]
         self._lock = threading.Lock()
+        self._last_sk = None
 
     def __len__(self) -> int:
         return len(self._values)

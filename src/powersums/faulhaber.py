@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Any
 
-from .bernoulli import BernoulliCache, bernoulli_range
+from .bernoulli import BernoulliCache, _shared_cache, bernoulli_range
 from .exact_arith import format_exact, format_rational_latex, parse_int
 from .polynomial import RationalPolynomial, format_terms, monomial
 
@@ -61,15 +61,26 @@ def p_poly(k: int, cache: BernoulliCache | None = None) -> RationalPolynomial:
 def faulhaber_poly(k: int, cache: BernoulliCache | None = None) -> RationalPolynomial:
     """The power-sum polynomial S^k, with S^k(n) = 1^k + ... + n^k exactly.
 
+    The table keeps the last S^k built from it, so asking for the same k
+    again (as a factored form followed by its checks does) returns the same
+    immutable polynomial without rebuilding P.
+
     >>> print(faulhaber_poly(2))
     1/6 (2x^3 + 3x^2 + x)
     """
+    table = cache if cache is not None else _shared_cache
+    last = table._last_sk
+    # The type test keeps a float k failing in p_poly as it would unmemoized.
+    if last is not None and last[0] == k and type(k) is int:
+        return last[1]
     # S^k is P/(k+1) with B_1 = +1/2 in place of -1/2.  B_1 reaches only the
     # x^k coefficient, so negate that (P's zero constant term when k = 0).
-    den, ints = p_poly(k, cache).common_integer_form()
+    den, ints = p_poly(k, table).common_integer_form()
     ints = list(ints)
     ints[k] = -ints[k]
-    return RationalPolynomial.from_integer_form(den * (k + 1), ints)
+    poly = RationalPolynomial.from_integer_form(den * (k + 1), ints)
+    table._last_sk = (k, poly)
+    return poly
 
 
 def power_sum_naive(n: int, k: int) -> int:

@@ -1,17 +1,24 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are stored ascending by power as an immutable tuple of
-``Fraction`` values with trailing zeros trimmed, so the zero polynomial is
-the empty tuple and every nonzero polynomial has a nonzero leading
-coefficient.  All arithmetic is exact: evaluation and shifts take an
-``int`` or ``Fraction`` only and raise ``TypeError`` for a float.
+A polynomial keeps the form it was built in and derives the other once,
+on first read:
 
-``RationalPolynomial(coefficients)`` is the one constructor, and every
-kernel builds its result through it.  The quadratic kernels (product,
-long division, Taylor shift, content) run on the common-integer form: the
-least denominator ``den`` with ``den * p`` integral, and those integers,
-converted once on entry, so their inner loops pay no gcd per step (a
-shift by a non-integer offset excepted).
+* ``RationalPolynomial(coefficients)`` stores the coefficients ascending
+  by power as a tuple of ``Fraction`` values with trailing zeros trimmed,
+  so the zero polynomial is the empty tuple and every nonzero polynomial
+  has a nonzero leading coefficient.
+* ``RationalPolynomial.from_integer_form(den, ints)`` stores the
+  common-integer form: the least ``den >= 1`` with ``den * p`` integral,
+  and those integers, trailing zeros trimmed.
+
+The quadratic kernels (product, long division, Taylor shift, content) run
+on the common-integer form and build their results with
+``from_integer_form``, so their inner loops and intermediate results pay no
+gcd per step (a shift by a non-integer offset excepted), and a chain of
+kernels never converts to ``Fraction`` in between.  Evaluation, sums,
+negation and scalar products run on the ``Fraction`` coefficients.  All
+arithmetic is exact: coefficients, evaluation points and shift offsets
+must be an ``int`` or ``Fraction``, and a float raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -33,6 +40,12 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+def _exact(value: object) -> Fraction:
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"exact coefficients must be int or Fraction, not {type(value).__name__}")
+
+
 class RationalPolynomial:
     """An immutable polynomial with ``Fraction`` coefficients.
 
@@ -41,37 +54,67 @@ class RationalPolynomial:
     (2, Fraction(20, 1))
     """
 
-    __slots__ = ("_coeffs",)
+    # At least one is set; None marks a form not derived yet.
+    __slots__ = ("_coeffs", "_int")
 
     def __init__(self, coefficients: Iterable[int | Fraction] = ()) -> None:
-        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else _exact(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        self._coeffs: tuple[Fraction, ...] | None = tuple(coeffs)
+        self._int: tuple[int, tuple[int, ...]] | None = None
+
+    @classmethod
+    def from_integer_form(cls, den: int, ints: Iterable[int]) -> RationalPolynomial:
+        """The polynomial (1/den) * sum(ints[i] * x**i), for a nonzero den."""
+        if not den:
+            raise ZeroDivisionError("polynomial denominator is zero")
+        ints = list(ints)
+        while ints and not ints[-1]:
+            ints.pop()
+        g = gcd(den, *ints)
+        if den < 0:
+            g = -g
+        poly = cls.__new__(cls)
+        poly._coeffs = None
+        poly._int = (den // g, tuple(c // g for c in ints))
+        return poly
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients ascending by power; empty for the zero polynomial."""
+        if self._coeffs is None:
+            den, ints = self._int
+            self._coeffs = tuple(Fraction(c, den) for c in ints)
         return self._coeffs
+
+    def common_integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """The least d >= 1 with d * self integer, and those integer
+        coefficients ascending.  The zero polynomial yields (1, (0,))."""
+        if self._int is None:
+            coeffs = self._coeffs
+            den = lcm(*(c.denominator for c in coeffs))
+            self._int = (den, tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        return self._int if self._int[1] else (1, (0,))
 
     @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._coeffs if self._int is None else self._int[1]) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return self.degree < 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalPolynomial):
-            return self._coeffs == other._coeffs
+            return self.common_integer_form() == other.common_integer_form()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.common_integer_form())
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return not self.is_zero()
 
     def __add__(self, other: RationalPolynomial | int | Fraction) -> RationalPolynomial:
         if isinstance(other, (int, Fraction)):
@@ -80,11 +123,11 @@ class RationalPolynomial:
             return NotImplemented
         return RationalPolynomial(
             a + b
-            for a, b in zip_longest(self._coeffs, other._coeffs, fillvalue=_ZERO)
+            for a, b in zip_longest(self.coefficients, other.coefficients, fillvalue=_ZERO)
         )
 
     def __neg__(self) -> RationalPolynomial:
-        return RationalPolynomial(-c for c in self._coeffs)
+        return RationalPolynomial(-c for c in self.coefficients)
 
     def __sub__(self, other: RationalPolynomial | int | Fraction) -> RationalPolynomial:
         if not isinstance(other, (int, Fraction, RationalPolynomial)):
@@ -93,7 +136,7 @@ class RationalPolynomial:
 
     def __mul__(self, other: RationalPolynomial | int | Fraction) -> RationalPolynomial:
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(c * other for c in self._coeffs)
+            return RationalPolynomial(c * other for c in self.coefficients)
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
         da, a = self.common_integer_form()
@@ -151,7 +194,7 @@ class RationalPolynomial:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"exact evaluation needs an int or Fraction, not {type(x).__name__}")
         acc = _ZERO
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
 
@@ -166,7 +209,9 @@ class RationalPolynomial:
         for i in range(len(a) - 1):
             for j in range(len(a) - 2, i - 1, -1):
                 a[j] += offset * a[j + 1]
-        return RationalPolynomial.from_integer_form(den, a)
+        if isinstance(offset, int):
+            return RationalPolynomial.from_integer_form(den, a)
+        return RationalPolynomial(Fraction(c, den) for c in a)
 
     def content_and_primitive(self) -> tuple[Fraction, RationalPolynomial]:
         """Split as content * primitive, where the primitive part has coprime
@@ -174,24 +219,12 @@ class RationalPolynomial:
 
         The zero polynomial splits as (0, zero).
         """
-        if not self._coeffs:
+        if self.is_zero():
             return _ZERO, self
         den, ints = self.common_integer_form()
         num = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-        return Fraction(num, den), RationalPolynomial(c // num for c in ints)
-
-    def common_integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """The least d >= 1 with d * self integer, and those integer
-        coefficients ascending.  The zero polynomial yields (1, (0,))."""
-        if not self._coeffs:
-            return 1, (0,)
-        den = lcm(*(c.denominator for c in self._coeffs))
-        return den, tuple(c.numerator * (den // c.denominator) for c in self._coeffs)
-
-    @classmethod
-    def from_integer_form(cls, den: int, ints: Iterable[int]) -> RationalPolynomial:
-        """The polynomial (1/den) * sum(ints[i] * x**i), for a nonzero den."""
-        return cls(Fraction(c, den) for c in ints)
+        primitive = RationalPolynomial.from_integer_form(1, [c // num for c in ints])
+        return Fraction(num, den), primitive
 
     def __str__(self) -> str:
         den, ints = self.common_integer_form()

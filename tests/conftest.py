@@ -6,6 +6,7 @@ from powersums.bernoulli import BernoulliCache
 
 # The module, not the function of the same name the package exports.
 bernoulli_module = importlib.import_module("powersums.bernoulli")
+faulhaber_module = importlib.import_module("powersums.faulhaber")
 
 
 @pytest.fixture
@@ -25,4 +26,18 @@ def tangent_calls(monkeypatch):
         return real(count)
 
     monkeypatch.setattr(bernoulli_module, "_tangent_numbers", recording)
+    return calls
+
+
+@pytest.fixture
+def p_poly_calls(monkeypatch):
+    """The exponent of every auxiliary polynomial P built during the test."""
+    calls = []
+    real = faulhaber_module.p_poly
+
+    def recording(k, cache=None):
+        calls.append(k)
+        return real(k, cache)
+
+    monkeypatch.setattr(faulhaber_module, "p_poly", recording)
     return calls

@@ -64,6 +64,15 @@ class TestFaulhaberCommand:
         assert code == 0
         assert out.strip() == "S_n^3 = 1/4 n^2(n+1)^2"
 
+    @pytest.mark.parametrize("argv, ks", [
+        (["30"], [30]),
+        (["--range", "0..12"], list(range(13))),
+    ])
+    def test_factored_builds_each_p_once(self, capsys, p_poly_calls, argv, ks):
+        code, _, _ = run(capsys, "faulhaber", *argv, "--factored", "--cache", "none")
+        assert code == 0
+        assert p_poly_calls == ks
+
     def test_k0(self, capsys):
         code, out, _ = run(capsys, "faulhaber", "0", "--cache", "none")
         assert code == 0

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powersums
+from powersums.analysis import check_claim, factored_form
 from powersums.bernoulli import BernoulliCache, bernoulli
 from powersums.faulhaber import (
     faulhaber_poly,
@@ -107,6 +109,68 @@ class TestClosedForms:
         for k in [*range(31), 100, 200, 400]:
             poly = faulhaber_poly(k, cache)
             assert poly - poly.shifted(-1) == monomial(k)
+
+
+class TestLastSkSlot:
+    """The table keeps the last S^k built from it and hands it out again."""
+
+    def test_repeated_k_returns_the_same_polynomial(self, cache, p_poly_calls):
+        assert faulhaber_poly(9, cache) is faulhaber_poly(9, cache)
+        assert faulhaber_poly(8, cache) == faulhaber_poly(8, BernoulliCache())
+        assert p_poly_calls == [9, 8, 8]
+
+    def test_tables_do_not_share_the_slot(self, p_poly_calls):
+        faulhaber_poly(6, BernoulliCache())
+        faulhaber_poly(6, BernoulliCache())
+        assert p_poly_calls == [6, 6]
+
+    @pytest.mark.parametrize("warm", [[], [0], [1], [5, 1]])
+    def test_negative_k_rejected_fresh_and_warm(self, cache, warm):
+        for k in warm:
+            faulhaber_poly(k, cache)
+        with pytest.raises(ValueError, match="^exponent must be nonnegative$"):
+            faulhaber_poly(-1, cache)
+
+    def test_float_k_is_not_served_from_the_slot(self, cache):
+        faulhaber_poly(2, cache)
+        with pytest.raises(TypeError):
+            faulhaber_poly(2.0, cache)
+
+    def test_factored_form_and_its_checks_build_p_once(self, cache, p_poly_calls):
+        # The poly-algebra benchmark op: factored form, the divisibility
+        # claims on the same exponent, and re-multiplying each quotient.
+        k = 12
+        form = factored_form(k, cache)
+        reports = [check_claim(2, k, cache), check_claim(4, k // 2, cache)]
+        assert form.k == k and [r.k for r in reports] == [k, k]
+        assert all(r.divisor * r.quotient == faulhaber_poly(r.k, cache) for r in reports)
+        assert p_poly_calls == [k]
+        # telescope_residual builds its own P, the independent check.
+        assert telescope_residual(k, cache).is_zero()
+        assert p_poly_calls == [k, k]
+
+    def test_threads_sharing_a_table_get_their_own_k(self):
+        shared = BernoulliCache()
+        reference = BernoulliCache()
+        expected = {k: faulhaber_poly(k, reference).common_integer_form() for k in range(2, 5)}
+
+        def walk(ks):
+            return [(k, faulhaber_poly(k, shared)) for k in ks]
+
+        # Few distinct k, in orders that differ by thread, so that one
+        # thread often reads the slot while another replaces it.
+        orders = [[2, 2, 3, 3], [3, 3, 2, 2], [2, 3, 4], [4, 4, 2], [3, 4, 4, 2, 2]]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                futures = [pool.submit(walk, order * 300) for order in orders]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old_interval)
+        for result in results:
+            for k, poly in result:
+                assert poly.common_integer_form() == expected[k]
 
 
 class TestTwoConstructions:

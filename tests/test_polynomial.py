@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powersums.faulhaber import faulhaber_poly
@@ -65,6 +65,16 @@ class TestConstruction:
     def test_equality_is_structural(self):
         assert RationalPolynomial([0, 1]) == monomial(1) == X
         assert RationalPolynomial([1]) != RationalPolynomial([1, 1])
+
+    @pytest.mark.parametrize("build", [
+        lambda: RationalPolynomial([0.1]),
+        lambda: RationalPolynomial([Fraction(1, 2), 2.0]),
+        lambda: RationalPolynomial(["1/2"]),
+        lambda: monomial(1, 0.5),
+    ], ids=["float", "float-after-fraction", "str", "monomial-float"])
+    def test_inexact_coefficient_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestArithmetic:
@@ -207,6 +217,49 @@ class TestIntegerKernels:
     def test_shift_at_degree_41(self, cache, offset):
         s = faulhaber_poly(40, cache)
         assert s.shifted(offset) == reference_shifted(s, offset)
+
+
+class TestTwoStoredForms:
+    """A polynomial built from its integer form and its Fraction-built twin
+    answer every read alike, each read made on a fresh pair so that it
+    comes from the form the polynomial was built in."""
+
+    READS = [
+        lambda p: p.coefficients,
+        lambda p: p.degree,
+        lambda p: p.is_zero(),
+        lambda p: bool(p),
+        hash,
+        str,
+        lambda p: p.common_integer_form(),
+    ]
+
+    @given(
+        st.integers(min_value=-12, max_value=12).filter(bool),
+        st.lists(st.integers(min_value=-20, max_value=20), max_size=6),
+        small_fractions,
+    )
+    @example(den=5, ints=[], offset=Fraction(1, 2))  # zero, no coefficients
+    @example(den=-6, ints=[0, 0], offset=Fraction(-3, 4))  # zero, negative den
+    @example(den=-4, ints=[2, -6, 4, 0], offset=Fraction(5, 2))  # negative den
+    def test_integer_built_twin_agrees(self, den, ints, offset):
+        def pair():
+            return (
+                RationalPolynomial.from_integer_form(den, ints),
+                RationalPolynomial([Fraction(c, den) for c in ints]),
+            )
+
+        for read in self.READS:
+            built, twin = pair()
+            assert read(built) == read(twin)
+        built, twin = pair()
+        assert built == twin and twin == built
+        built, twin = pair()
+        assert built.shifted(offset) == reference_shifted(twin, offset)
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            RationalPolynomial.from_integer_form(0, [1, 2])
 
 
 class TestNormalForms:
