@@ -49,10 +49,7 @@ class BernoulliCache:
     concurrently without synchronization because entries are appended in
     order and never mutated.
 
-    The table also keeps the last S^k that ``faulhaber_poly`` built from
-    it, as ``(k, poly)``, so a repeated k is not rebuilt.  Its entries never
-    change, so the slot never goes stale, and one tuple assignment replaces
-    it whole, so concurrent readers see one pair or the other.
+    The table also keeps the last S^k built from it (see :func:`_reuse_last`).
     """
 
     def __init__(self) -> None:
@@ -205,21 +202,45 @@ def _recurrence_sum(values, n: int) -> Fraction:
 _shared_cache = BernoulliCache()
 
 
+def _table(cache: BernoulliCache | None) -> BernoulliCache:
+    """The given table, or the process-wide one for None."""
+    return cache if cache is not None else _shared_cache
+
+
+def _reuse_last(k: int, cache: BernoulliCache | None, build):
+    """build(k, table) for the table that cache names, unless the last call
+    on that table had the same k: then that call's result, unbuilt.
+
+    A factored form followed by its checks asks for one S^k several times
+    in a row, so one slot per table is enough.  The table's entries never
+    change, so the slot never goes stale, and one tuple assignment replaces
+    it whole, so concurrent readers see one pair or the other.  Only an
+    ``int`` k is served from the slot, so a float k fails in build as it
+    would unmemoized.
+    """
+    table = _table(cache)
+    last = table._last_sk
+    if last is not None and last[0] == k and type(k) is int:
+        return last[1]
+    result = build(k, table)
+    table._last_sk = (k, result)
+    return result
+
+
 def bernoulli(n: int, cache: BernoulliCache | None = None) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention).
 
     >>> bernoulli(12)
     Fraction(-691, 2730)
     """
-    target = cache if cache is not None else _shared_cache
-    return target[n]
+    return _table(cache)[n]
 
 
 def bernoulli_range(
     max_index: int, cache: BernoulliCache | None = None
 ) -> list[Fraction]:
     """[B_0, ..., B_max_index], computed in one pass."""
-    target = cache if cache is not None else _shared_cache
+    target = _table(cache)
     target[max_index]
     return [target[i] for i in range(max_index + 1)]
 
@@ -233,6 +254,6 @@ def recurrence_residual(n: int, cache: BernoulliCache | None = None) -> Fraction
     """
     if n < 1:
         raise ValueError("the identity requires n >= 1 (at n = 0 the sum is B_0 = 1)")
-    target = cache if cache is not None else _shared_cache
+    target = _table(cache)
     target[n]
     return _recurrence_sum(target, n)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Any
 
-from .bernoulli import BernoulliCache, _shared_cache, bernoulli_range
+from .bernoulli import BernoulliCache, _reuse_last, bernoulli_range
 from .exact_arith import format_exact, format_rational_latex, parse_int
 from .polynomial import RationalPolynomial, format_terms, monomial
 
@@ -68,19 +68,16 @@ def faulhaber_poly(k: int, cache: BernoulliCache | None = None) -> RationalPolyn
     >>> print(faulhaber_poly(2))
     1/6 (2x^3 + 3x^2 + x)
     """
-    table = cache if cache is not None else _shared_cache
-    last = table._last_sk
-    # The type test keeps a float k failing in p_poly as it would unmemoized.
-    if last is not None and last[0] == k and type(k) is int:
-        return last[1]
+    return _reuse_last(k, cache, _build_faulhaber_poly)
+
+
+def _build_faulhaber_poly(k: int, table: BernoulliCache) -> RationalPolynomial:
     # S^k is P/(k+1) with B_1 = +1/2 in place of -1/2.  B_1 reaches only the
     # x^k coefficient, so negate that (P's zero constant term when k = 0).
     den, ints = p_poly(k, table).common_integer_form()
     ints = list(ints)
     ints[k] = -ints[k]
-    poly = RationalPolynomial.from_integer_form(den * (k + 1), ints)
-    table._last_sk = (k, poly)
-    return poly
+    return RationalPolynomial.from_integer_form(den * (k + 1), ints)
 
 
 def power_sum_naive(n: int, k: int) -> int:

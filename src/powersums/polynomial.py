@@ -12,13 +12,15 @@ on first read:
   and those integers, trailing zeros trimmed.
 
 The quadratic kernels (product, long division, Taylor shift, content) run
-on the common-integer form and build their results with
-``from_integer_form``, so their inner loops and intermediate results pay no
-gcd per step (a shift by a non-integer offset excepted), and a chain of
-kernels never converts to ``Fraction`` in between.  Evaluation, sums,
-negation and scalar products run on the ``Fraction`` coefficients.  All
-arithmetic is exact: coefficients, evaluation points and shift offsets
-must be an ``int`` or ``Fraction``, and a float raises ``TypeError``.
+on the common-integer form, so their inner loops pay no gcd per step (a
+shift by a non-integer offset excepted).  The product, division and
+content build their results with ``from_integer_form``, so a chain of them
+never converts to ``Fraction`` in between; the shift builds ``Fraction``
+coefficients, which its one caller, the telescoping check, reads next.
+Evaluation, sums, negation and scalar products run on the ``Fraction``
+coefficients.  All arithmetic is exact: coefficients, evaluation points
+and shift offsets must be an ``int`` or ``Fraction``, and a float raises
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -209,8 +211,6 @@ class RationalPolynomial:
         for i in range(len(a) - 1):
             for j in range(len(a) - 2, i - 1, -1):
                 a[j] += offset * a[j + 1]
-        if isinstance(offset, int):
-            return RationalPolynomial.from_integer_form(den, a)
         return RationalPolynomial(Fraction(c, den) for c in a)
 
     def content_and_primitive(self) -> tuple[Fraction, RationalPolynomial]:
