@@ -264,16 +264,9 @@ def _running_sums(k: int, max_n: int) -> Iterator[tuple[int, int]]:
 
 
 def _oracle_mismatch(poly, k: int) -> int | None:
-    """First n in 0..50 where poly(n) differs from the running power sum.
-
-    Compares den * poly(n), by integer Horner, with den * running.
-    """
-    den, ints = poly.common_integer_form()
+    """First n in 0..50 where poly(n) differs from the running power sum."""
     for n, running in _running_sums(k, 50):
-        value = 0
-        for c in reversed(ints):
-            value = value * n + c
-        if value != den * running:
+        if poly(n) != running:
             return n
     return None
 

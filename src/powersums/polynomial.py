@@ -1,26 +1,21 @@
 """Dense univariate polynomials over exact rationals.
 
-A polynomial keeps the form it was built in and derives the other once,
-on first read:
+A polynomial is stored in one form, its common-integer form: the least
+``den >= 1`` with ``den * p`` integral, and the integer coefficients of
+``den * p`` ascending by power with trailing zeros trimmed, so the zero
+polynomial stores ``(1, ())`` and every nonzero polynomial has a nonzero
+leading coefficient.  ``RationalPolynomial(coefficients)`` converts its
+``int`` and ``Fraction`` coefficients to that form once, and
+``RationalPolynomial.from_integer_form(den, ints)`` normalizes a given pair
+by its gcd.  ``coefficients`` is a view: each read builds a new tuple of
+``Fraction`` values.
 
-* ``RationalPolynomial(coefficients)`` stores the coefficients ascending
-  by power as a tuple of ``Fraction`` values with trailing zeros trimmed,
-  so the zero polynomial is the empty tuple and every nonzero polynomial
-  has a nonzero leading coefficient.
-* ``RationalPolynomial.from_integer_form(den, ints)`` stores the
-  common-integer form: the least ``den >= 1`` with ``den * p`` integral,
-  and those integers, trailing zeros trimmed.
-
-The quadratic kernels (product, long division, Taylor shift, content) run
-on the common-integer form, so their inner loops pay no gcd per step (a
-shift by a non-integer offset excepted).  The product, division and
-content build their results with ``from_integer_form``, so a chain of them
-never converts to ``Fraction`` in between; the shift builds ``Fraction``
-coefficients, which its one caller, the telescoping check, reads next.
-Evaluation, sums, negation and scalar products run on the ``Fraction``
-coefficients.  All arithmetic is exact: coefficients, evaluation points
-and shift offsets must be an ``int`` or ``Fraction``, and a float raises
-``TypeError``.
+Every operation (evaluation, sums, negation, products, long division,
+Taylor shift, content) runs on the integer form and builds its result with
+``from_integer_form``, so no inner loop pays a gcd per step, evaluation at
+a non-integer point excepted.  All arithmetic is exact: coefficients,
+evaluation points and shift offsets must be an ``int`` or ``Fraction``,
+and a float raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -39,32 +34,30 @@ __all__ = [
     "monomial",
 ]
 
-_ZERO = Fraction(0)
 
-
-def _exact(value: object) -> Fraction:
+def _exact(value: object) -> int | Fraction:
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+        return value
     raise TypeError(f"exact coefficients must be int or Fraction, not {type(value).__name__}")
 
 
 class RationalPolynomial:
-    """An immutable polynomial with ``Fraction`` coefficients.
+    """An immutable polynomial with exact rational coefficients.
 
     >>> p = RationalPolynomial([0, -1, 1])   # x^2 - x
     >>> p.degree, p(5)
     (2, Fraction(20, 1))
     """
 
-    # At least one is set; None marks a form not derived yet.
-    __slots__ = ("_coeffs", "_int")
+    # Tuples and *-arguments on per-call paths are built from lists: built
+    # from generators of short-lived big integers, they keep raising the
+    # process's peak RSS over thousands of calls.
+    __slots__ = ("_den", "_ints")
 
     def __init__(self, coefficients: Iterable[int | Fraction] = ()) -> None:
         coeffs = [c if type(c) is Fraction else _exact(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs: tuple[Fraction, ...] | None = tuple(coeffs)
-        self._int: tuple[int, tuple[int, ...]] | None = None
+        den = lcm(*[c.denominator for c in coeffs])
+        self._store(den, [c.numerator * (den // c.denominator) for c in coeffs])
 
     @classmethod
     def from_integer_form(cls, den: int, ints: Iterable[int]) -> RationalPolynomial:
@@ -72,48 +65,45 @@ class RationalPolynomial:
         if not den:
             raise ZeroDivisionError("polynomial denominator is zero")
         ints = list(ints)
-        while ints and not ints[-1]:
-            ints.pop()
         g = gcd(den, *ints)
         if den < 0:
             g = -g
-        poly = cls.__new__(cls)
-        poly._coeffs = None
-        poly._int = (den // g, tuple(c // g for c in ints))
-        return poly
+        return cls.__new__(cls)._store(den // g, [c // g for c in ints])
+
+    def _store(self, den: int, ints: list[int]) -> RationalPolynomial:
+        while ints and not ints[-1]:
+            ints.pop()
+        self._den = den
+        self._ints = tuple(ints)
+        return self
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficients ascending by power; empty for the zero polynomial."""
-        if self._coeffs is None:
-            den, ints = self._int
-            self._coeffs = tuple(Fraction(c, den) for c in ints)
-        return self._coeffs
+        """Coefficients ascending by power; empty for the zero polynomial.
+        Each read builds a new tuple."""
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._ints])
 
     def common_integer_form(self) -> tuple[int, tuple[int, ...]]:
         """The least d >= 1 with d * self integer, and those integer
         coefficients ascending.  The zero polynomial yields (1, (0,))."""
-        if self._int is None:
-            coeffs = self._coeffs
-            den = lcm(*(c.denominator for c in coeffs))
-            self._int = (den, tuple(c.numerator * (den // c.denominator) for c in coeffs))
-        return self._int if self._int[1] else (1, (0,))
+        return (self._den, self._ints) if self._ints else (1, (0,))
 
     @property
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self._coeffs if self._int is None else self._int[1]) - 1
+        return len(self._ints) - 1
 
     def is_zero(self) -> bool:
-        return self.degree < 0
+        return not self._ints
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalPolynomial):
-            return self.common_integer_form() == other.common_integer_form()
+            return self._den == other._den and self._ints == other._ints
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.common_integer_form())
+        return hash((self._den, self._ints))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -123,13 +113,14 @@ class RationalPolynomial:
             other = RationalPolynomial([other])
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        return RationalPolynomial(
-            a + b
-            for a, b in zip_longest(self.coefficients, other.coefficients, fillvalue=_ZERO)
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, den // other._den
+        return RationalPolynomial.from_integer_form(
+            den, [a * sa + b * sb for a, b in zip_longest(self._ints, other._ints, fillvalue=0)]
         )
 
     def __neg__(self) -> RationalPolynomial:
-        return RationalPolynomial(-c for c in self.coefficients)
+        return RationalPolynomial.from_integer_form(self._den, [-c for c in self._ints])
 
     def __sub__(self, other: RationalPolynomial | int | Fraction) -> RationalPolynomial:
         if not isinstance(other, (int, Fraction, RationalPolynomial)):
@@ -138,17 +129,16 @@ class RationalPolynomial:
 
     def __mul__(self, other: RationalPolynomial | int | Fraction) -> RationalPolynomial:
         if isinstance(other, (int, Fraction)):
-            return RationalPolynomial(c * other for c in self.coefficients)
+            other = RationalPolynomial([other])
         if not isinstance(other, RationalPolynomial):
             return NotImplemented
-        da, a = self.common_integer_form()
-        db, b = other.common_integer_form()
+        a, b = self._ints, other._ints
         result = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b, i):
                     result[j] += ai * bj
-        return RationalPolynomial.from_integer_form(da * db, result)
+        return RationalPolynomial.from_integer_form(self._den * other._den, result)
 
     __rmul__ = __mul__
 
@@ -169,8 +159,8 @@ class RationalPolynomial:
             return NotImplemented
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by the zero polynomial")
-        da, rem = self.common_integer_form()
-        db, div = divisor.common_integer_form()
+        da, rem = self._den, self._ints
+        db, div = divisor._den, divisor._ints
         m = len(div) - 1
         # Pseudo-division: scaling by L^N up front (L = |lead|, N quotient
         # terms) keeps every step's top term divisible by lead, so that
@@ -192,26 +182,30 @@ class RationalPolynomial:
         )
 
     def __call__(self, x: int | Fraction) -> Fraction:
-        """Exact value at x, by Horner's scheme."""
+        """Exact value at x, by Horner's scheme on den * self."""
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"exact evaluation needs an int or Fraction, not {type(x).__name__}")
-        acc = _ZERO
-        for c in reversed(self.coefficients):
+        acc = 0
+        for c in reversed(self._ints):
             acc = acc * x + c
-        return acc
+        return Fraction(acc, self._den)
 
     def shifted(self, offset: int | Fraction) -> RationalPolynomial:
         """The composed polynomial p(x + offset), by the classical Taylor
-        shift: d(d+1)/2 steps a[j] += offset * a[j+1] on the coefficients
-        of den * p, in integers for an integer offset."""
+        shift in integers: for offset = p/q and degree d, with a[i] =
+        ints[i] * q^(d-i), d(d+1)/2 steps a[j] += p * a[j+1] give the
+        coefficients of den * q^d * self(x + offset) as a[i] * q^i."""
         if not isinstance(offset, (int, Fraction)):
             raise TypeError(f"exact shift needs an int or Fraction, not {type(offset).__name__}")
-        den, a = self.common_integer_form()
-        a = list(a)
+        p, q = offset.numerator, offset.denominator
+        d = max(self.degree, 0)  # q**-1 would be a float
+        a = [c * q ** (d - i) for i, c in enumerate(self._ints)]
         for i in range(len(a) - 1):
             for j in range(len(a) - 2, i - 1, -1):
-                a[j] += offset * a[j + 1]
-        return RationalPolynomial(Fraction(c, den) for c in a)
+                a[j] += p * a[j + 1]
+        return RationalPolynomial.from_integer_form(
+            self._den * q**d, [c * q**i for i, c in enumerate(a)]
+        )
 
     def content_and_primitive(self) -> tuple[Fraction, RationalPolynomial]:
         """Split as content * primitive, where the primitive part has coprime
@@ -220,11 +214,11 @@ class RationalPolynomial:
         The zero polynomial splits as (0, zero).
         """
         if self.is_zero():
-            return _ZERO, self
-        den, ints = self.common_integer_form()
+            return Fraction(0), self
+        ints = self._ints
         num = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
         primitive = RationalPolynomial.from_integer_form(1, [c // num for c in ints])
-        return Fraction(num, den), primitive
+        return Fraction(num, self._den), primitive
 
     def __str__(self) -> str:
         den, ints = self.common_integer_form()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -11,6 +12,14 @@ from powersums.polynomial import RationalPolynomial, X, format_terms, monomial
 small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 small_polys = st.builds(RationalPolynomial, st.lists(small_fractions, max_size=6))
 nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
+# Built both ways, the second with any nonzero denominator, negative too.
+any_polys = small_polys | st.builds(
+    RationalPolynomial.from_integer_form,
+    st.integers(min_value=-12, max_value=12).filter(bool),
+    st.lists(st.integers(min_value=-20, max_value=20), max_size=6),
+)
+ZERO_FROM_NEGATIVE_DEN = RationalPolynomial.from_integer_form(-6, [0, 0])
+NEGATIVE_DEN = RationalPolynomial.from_integer_form(-4, [2, -6, 4, 0])
 
 
 # The Fraction loops the integer kernels replaced, kept as references.
@@ -36,6 +45,31 @@ def reference_divmod(a, b):
         for j, d in enumerate(div):
             rem[i - len(div) + 1 + j] -= factor * d
     return RationalPolynomial(quot), RationalPolynomial(rem[: len(div) - 1])
+
+
+def reference_add(a, b):
+    pairs = zip_longest(a.coefficients, b.coefficients, fillvalue=Fraction(0))
+    return RationalPolynomial([x + y for x, y in pairs])
+
+
+def reference_sub(a, b):
+    pairs = zip_longest(a.coefficients, b.coefficients, fillvalue=Fraction(0))
+    return RationalPolynomial([x - y for x, y in pairs])
+
+
+def reference_neg(p):
+    return RationalPolynomial([-c for c in p.coefficients])
+
+
+def reference_scale(p, scalar):
+    return RationalPolynomial([c * scalar for c in p.coefficients])
+
+
+def reference_call(p, x):
+    acc = Fraction(0)
+    for c in reversed(p.coefficients):
+        acc = acc * x + c
+    return acc
 
 
 def reference_shifted(p, offset):
@@ -158,6 +192,13 @@ class TestEvaluationAndShift:
     def test_shift_by_minus_one(self):
         assert (X**3 - X).shifted(-1) == X**3 - 3 * X**2 + 2 * X
 
+    @pytest.mark.parametrize("p", [
+        RationalPolynomial([Fraction(-7, 3)]),  # degree 0
+        RationalPolynomial(),  # degree -1
+    ], ids=["constant", "zero"])
+    def test_shift_below_degree_one_by_fraction(self, p):
+        assert p.shifted(Fraction(5, 2)) == p
+
     @given(small_polys, small_fractions, st.integers(min_value=-10, max_value=10))
     def test_shift_agrees_with_evaluation(self, p, c, x):
         assert p.shifted(c)(x) == p(x + c)
@@ -169,6 +210,39 @@ class TestIntegerKernels:
     @given(small_polys, small_polys)
     def test_mul(self, a, b):
         assert a * b == reference_mul(a, b)
+
+    @given(any_polys, any_polys)
+    @example(ZERO_FROM_NEGATIVE_DEN, NEGATIVE_DEN)
+    @example(NEGATIVE_DEN, ZERO_FROM_NEGATIVE_DEN)
+    @example(NEGATIVE_DEN, NEGATIVE_DEN)
+    def test_add_sub_neg(self, a, b):
+        assert a + b == reference_add(a, b)
+        assert a - b == reference_sub(a, b)
+        assert -a == reference_neg(a)
+
+    @given(any_polys, small_fractions)
+    @example(ZERO_FROM_NEGATIVE_DEN, Fraction(3, 2))
+    @example(NEGATIVE_DEN, Fraction(-5, 6))
+    @example(NEGATIVE_DEN, Fraction(0))
+    def test_scalar_mul(self, p, scalar):
+        assert p * scalar == scalar * p == reference_scale(p, scalar)
+        assert p * scalar.numerator == reference_scale(p, scalar.numerator)
+
+    @given(any_polys, small_fractions, st.integers(min_value=-10**6, max_value=10**6))
+    @example(ZERO_FROM_NEGATIVE_DEN, Fraction(-1, 3), 7)
+    @example(NEGATIVE_DEN, Fraction(5, 2), -3)
+    def test_call(self, p, point, n):
+        for x in (point, n):
+            value = p(x)
+            assert type(value) is Fraction and value == reference_call(p, x)
+
+    @given(any_polys)
+    @example(ZERO_FROM_NEGATIVE_DEN)
+    @example(NEGATIVE_DEN)
+    def test_coefficients_view(self, p):
+        first, second = p.coefficients, p.coefficients
+        assert first == second
+        assert all(type(c) is Fraction for c in first)
 
     @given(small_polys, nonzero_polys)
     def test_divmod(self, a, b):
@@ -220,9 +294,8 @@ class TestIntegerKernels:
 
 
 class TestTwoStoredForms:
-    """A polynomial built from its integer form and its Fraction-built twin
-    answer every read alike, each read made on a fresh pair so that it
-    comes from the form the polynomial was built in."""
+    """The two constructors agree: a polynomial built from its integer form
+    and its Fraction-built twin answer every read alike."""
 
     READS = [
         lambda p: p.coefficients,
